@@ -34,21 +34,38 @@ let quiescence_edges (ctx : Lift.ctx) =
   done;
   r
 
-(* One fixpoint round of an unprimed rule: additions are
-   lXX ∩ (crw ; hb) restricted to plain targets. *)
-let rule_unprimed ~plain ~crw hb lxx =
-  let reach = Rel.compose crw hb in
-  Rel.filter lxx (fun a c -> plain c && Rel.mem reach a c)
-
-(* One round of a primed rule: lXX ∩ (hb ; crw) restricted to plain
-   sources. *)
-let rule_primed ~plain ~crw hb lxx =
-  let reach = Rel.compose hb crw in
-  Rel.filter lxx (fun a c -> plain a && Rel.mem reach a c)
-
 let base_rel (model : Model.t) (ctx : Lift.ctx) =
   let base = Rel.union_many [ ctx.init_; ctx.po; ctx.cwr; ctx.cww ] in
   if model.quiescence then Rel.union base (quiescence_edges ctx) else base
+
+(* The model's rules as two candidate relations, fixed before the
+   fixpoint: HBww/HBwr/HBrw can only add a lXX c with c plain, and the
+   primed rules only with a plain.  A round then adds
+     unprimed ∩ (crw ; hb)   and   primed ∩ (hb ; crw)
+   as row intersections; [add] merges them into [hb] and says whether
+   anything was new.  An empty candidate set skips its composition. *)
+let rule_round (model : Model.t) ~plain ~crw ~lww ~lwr ~lrw ~add =
+  let candidates keep rules =
+    let c = Rel.create (Rel.size crw) in
+    List.iter (fun (on, r) -> if on then ignore (Rel.union_into ~into:c r)) rules;
+    keep c
+  in
+  let unprimed =
+    candidates (Rel.restrict ~dst:plain)
+      [ (model.hb_ww, lww); (model.hb_wr, lwr); (model.hb_rw, lrw) ]
+  and primed =
+    candidates (Rel.restrict ~src:plain)
+      [ (model.hb_ww', lww); (model.hb_wr', lwr); (model.hb_rw', lrw) ]
+  in
+  fun hb ->
+    let u =
+      (not (Rel.is_empty unprimed))
+      && add hb (Rel.inter unprimed (Rel.compose crw hb))
+    in
+    let p =
+      (not (Rel.is_empty primed)) && add hb (Rel.inter primed (Rel.compose hb crw))
+    in
+    u || p
 
 (* The fixpoint keeps [hb] transitively closed as an invariant: the base
    is closed once, and every rule-derived edge extends the closure
@@ -62,17 +79,12 @@ let base_rel (model : Model.t) (ctx : Lift.ctx) =
    predicate and the lifted relations directly.  [hb] must be
    transitively closed on entry and is extended in place. *)
 let compute_from (model : Model.t) ~plain ~crw ~lww ~lwr ~lrw hb =
-  let continue = ref true in
-  while !continue do
-    let changed = ref false in
-    let apply rel = if Rel.union_into_closed ~into:hb rel then changed := true in
-    if model.hb_ww then apply (rule_unprimed ~plain ~crw hb lww);
-    if model.hb_wr then apply (rule_unprimed ~plain ~crw hb lwr);
-    if model.hb_rw then apply (rule_unprimed ~plain ~crw hb lrw);
-    if model.hb_ww' then apply (rule_primed ~plain ~crw hb lww);
-    if model.hb_wr' then apply (rule_primed ~plain ~crw hb lwr);
-    if model.hb_rw' then apply (rule_primed ~plain ~crw hb lrw);
-    continue := !changed
+  let round =
+    rule_round model ~plain ~crw ~lww ~lwr ~lrw ~add:(fun hb d ->
+        Rel.union_into_closed ~into:hb d)
+  in
+  while round hb do
+    ()
   done;
   hb
 
@@ -84,24 +96,19 @@ let compute (model : Model.t) (ctx : Lift.ctx) =
     ~crw:ctx.crw ~lww:ctx.lww ~lwr:ctx.lwr ~lrw:ctx.lrw hb
 
 (* The pre-cache implementation: re-close from scratch every round.
-   Kept as a definition-shaped oracle; the test suite asserts it agrees
-   with [compute] (and both with [Naive.hb]) on enumerated executions
-   and random traces. *)
+   Kept as an oracle for the incremental closure; the test suite asserts
+   it agrees with [compute] (and both with [Naive.hb]) on enumerated
+   executions and random traces. *)
 let compute_reference (model : Model.t) (ctx : Lift.ctx) =
-  let plain = Trace.is_plain ctx.trace and crw = ctx.crw in
+  let round =
+    rule_round model
+      ~plain:(Trace.is_plain ctx.trace)
+      ~crw:ctx.crw ~lww:ctx.lww ~lwr:ctx.lwr ~lrw:ctx.lrw
+      ~add:(fun hb d -> Rel.union_into ~into:hb d)
+  in
   let hb = base_rel model ctx in
-  let continue = ref true in
-  while !continue do
-    Rel.transitive_closure_in_place hb;
-    let changed = ref false in
-    let apply rel = if Rel.union_into ~into:hb rel then changed := true in
-    if model.hb_ww then apply (rule_unprimed ~plain ~crw hb ctx.lww);
-    if model.hb_wr then apply (rule_unprimed ~plain ~crw hb ctx.lwr);
-    if model.hb_rw then apply (rule_unprimed ~plain ~crw hb ctx.lrw);
-    if model.hb_ww' then apply (rule_primed ~plain ~crw hb ctx.lww);
-    if model.hb_wr' then apply (rule_primed ~plain ~crw hb ctx.lwr);
-    if model.hb_rw' then apply (rule_primed ~plain ~crw hb ctx.lrw);
-    continue := !changed
-  done;
   Rel.transitive_closure_in_place hb;
+  while round hb do
+    Rel.transitive_closure_in_place hb
+  done;
   hb

@@ -9,8 +9,10 @@ val compute : Model.t -> Lift.ctx -> Rel.t
 (** The fixpoint maintains the transitive closure incrementally: the
     base relation is closed once and every rule-derived edge extends the
     closed relation in place ([Rel.union_into_closed]), instead of
-    re-running a full closure per round.  [compute_reference] is the
-    unoptimized equivalent. *)
+    re-running a full closure per round.  A round applies the enabled
+    rules as two row intersections, one for the unprimed rules and one
+    for the primed.  [compute_reference] is the unoptimized
+    equivalent. *)
 
 val compute_from :
   Model.t ->

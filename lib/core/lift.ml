@@ -4,30 +4,10 @@
      a xR b  iff  a lR b and a, b are transactional
      a cR b  iff  a xR b and a, b are committed or live
 
-   Classes of tx~ are transactions plus singleton classes for plain
-   events; class-to-class reachability is computed once per relation. *)
-
-let classes t =
-  Array.init (Trace.length t) (fun i ->
-      let b = Trace.txn_of t i in
-      if b >= 0 then b else i)
-
-let lifted t r =
-  let n = Trace.length t in
-  let cls = classes t in
-  (* class-pair reachability, indexed by representative positions *)
-  let cross = Rel.create n in
-  Rel.iter r (fun i j -> Rel.add cross cls.(i) cls.(j));
-  Rel.of_pred n (fun i j ->
-      Rel.mem r i j || (cls.(i) <> cls.(j) && Rel.mem cross cls.(i) cls.(j)))
-
-let lifted_x t r =
-  Rel.filter (lifted t r) (fun i j ->
-      Trace.is_transactional t i && Trace.is_transactional t j)
-
-let lifted_c t r =
-  Rel.filter (lifted t r) (fun i j ->
-      Trace.is_committed_or_live_txn t i && Trace.is_committed_or_live_txn t j)
+   Lifting is composition with the tx~ equivalence, whose classes are
+   transactions plus singletons for plain events; [Rel.lift] computes it
+   once per class.  Each base relation is lifted once, and its x and c
+   variants mask the lifted rows. *)
 
 (* All lifted variants of the three base memory relations, computed once
    per trace and shared by happens-before, consistency and race checks. *)
@@ -51,7 +31,21 @@ type ctx = {
 }
 
 let make t =
-  let ww = Trace.rel_ww t and wr = Trace.rel_wr t and rw = Trace.rel_rw t in
+  let ww = Trace.rel_ww t and wr = Trace.rel_wr t in
+  let rw = Trace.rel_rw t ~wr ~ww in
+  let classes =
+    Array.init (Trace.length t) (fun i ->
+        let b = Trace.txn_of t i in
+        if b >= 0 then b else i)
+  in
+  let lww = Rel.lift ~classes ww
+  and lwr = Rel.lift ~classes wr
+  and lrw = Rel.lift ~classes rw in
+  let x = Rel.restrict ~src:(Trace.is_transactional t) ~dst:(Trace.is_transactional t)
+  and c =
+    Rel.restrict ~src:(Trace.is_committed_or_live_txn t)
+      ~dst:(Trace.is_committed_or_live_txn t)
+  in
   {
     trace = t;
     index_ = Trace.rel_index t;
@@ -60,13 +54,13 @@ let make t =
     ww;
     wr;
     rw;
-    lww = lifted t ww;
-    lwr = lifted t wr;
-    lrw = lifted t rw;
-    xww = lifted_x t ww;
-    xwr = lifted_x t wr;
-    xrw = lifted_x t rw;
-    cww = lifted_c t ww;
-    cwr = lifted_c t wr;
-    crw = lifted_c t rw;
+    lww;
+    lwr;
+    lrw;
+    xww = x lww;
+    xwr = x lwr;
+    xrw = x lrw;
+    cww = c lww;
+    cwr = c lwr;
+    crw = c lrw;
   }

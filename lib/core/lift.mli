@@ -3,11 +3,9 @@
     [a lR b] iff [a R b], or [a' R b'] for some [a' tx~ a], [b' tx~ b]
     with [a !tx~ b].  The [x] variant restricts both endpoints to
     transactional actions; the [c] variant further to committed-or-live
-    transactions. *)
-
-val lifted : Trace.t -> Rel.t -> Rel.t
-val lifted_x : Trace.t -> Rel.t -> Rel.t
-val lifted_c : Trace.t -> Rel.t -> Rel.t
+    transactions.  Each base relation is lifted once, per tx~ class
+    rather than per pair of actions ({!Rel.lift}); its [x] and [c]
+    variants are restrictions of that one lifting. *)
 
 (** All base and lifted relations of a trace, computed once and shared by
     happens-before, consistency and race checking. *)

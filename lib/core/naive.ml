@@ -16,7 +16,8 @@ let pairs t =
 
 (* -- base relations, straight from §2 ------------------------------------- *)
 
-let init_rel t a b = Trace.is_init t a && not (Trace.is_init t b)
+let index _ a b = a < b
+let init t a b = Trace.is_init t a && not (Trace.is_init t b)
 let po t a b = a < b && Trace.thread t a = Trace.thread t b
 
 let ww t a b =
@@ -74,7 +75,7 @@ let hb (model : Model.t) t =
   (* HBdef *)
   List.iter
     (fun (a, b) ->
-      if init_rel t a b || po t a b || cwr t a b || cww t a b then add a b)
+      if init t a b || po t a b || cwr t a b || cww t a b then add a b)
     (pairs t);
   (* fence rules (§5) *)
   if model.quiescence then

@@ -5,6 +5,8 @@
 
     Deliberately slow; used as an oracle in the test suite. *)
 
+val index : Trace.t -> int -> int -> bool
+val init : Trace.t -> int -> int -> bool
 val po : Trace.t -> int -> int -> bool
 val ww : Trace.t -> int -> int -> bool
 val wr : Trace.t -> int -> int -> bool

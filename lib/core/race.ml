@@ -42,8 +42,3 @@ let mixed_races t hb =
     (races t hb)
 
 let has_mixed_race t hb = mixed_races t hb <> []
-
-let races_of_model model t =
-  let ctx = Lift.make t in
-  let hb = Hb.compute model ctx in
-  races t hb

@@ -18,6 +18,3 @@ val mixed_races : Trace.t -> Rel.t -> (int * int) list
 (** Races between a transactional write and a plain write (§5). *)
 
 val has_mixed_race : Trace.t -> Rel.t -> bool
-
-val races_of_model : Model.t -> Trace.t -> (int * int) list
-(** Convenience: compute hb under the model, then list all races. *)

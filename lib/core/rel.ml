@@ -14,12 +14,14 @@ let create n =
 let copy r = { r with rows = Array.map Array.copy r.rows }
 let size r = r.n
 
-let mem r i j =
-  r.rows.(i).((j / bits_per_word)) land (1 lsl (j mod bits_per_word)) <> 0
+let[@inline] mem_row row j = row.(j / bits_per_word) land (1 lsl (j mod bits_per_word)) <> 0
 
-let add r i j =
-  let w = j / bits_per_word and b = j mod bits_per_word in
-  r.rows.(i).(w) <- r.rows.(i).(w) lor (1 lsl b)
+let[@inline] add_row row j =
+  let w = j / bits_per_word in
+  row.(w) <- row.(w) lor (1 lsl (j mod bits_per_word))
+
+let mem r i j = mem_row r.rows.(i) j
+let add r i j = add_row r.rows.(i) j
 
 let of_pred n f =
   let r = create n in
@@ -30,15 +32,12 @@ let of_pred n f =
   done;
   r
 
-let union a b =
-  if a.n <> b.n then invalid_arg "Rel.union: size mismatch";
-  let r = copy a in
-  for i = 0 to a.n - 1 do
-    for w = 0 to a.words - 1 do
-      r.rows.(i).(w) <- r.rows.(i).(w) lor b.rows.(i).(w)
-    done
-  done;
-  r
+let map2 name f a b =
+  if a.n <> b.n then invalid_arg ("Rel." ^ name ^ ": size mismatch");
+  { a with rows = Array.map2 (Array.map2 f) a.rows b.rows }
+
+let union a b = map2 "union" ( lor ) a b
+let inter a b = map2 "inter" ( land ) a b
 
 let union_many = function
   | [] -> invalid_arg "Rel.union_many: empty"
@@ -66,15 +65,34 @@ let is_empty r =
 
 let or_row dst src =
   let changed = ref false in
-  Array.iteri
-    (fun w v ->
-      let v' = dst.(w) lor v in
-      if v' <> dst.(w) then begin
-        dst.(w) <- v';
-        changed := true
-      end)
-    src;
+  for w = 0 to Array.length src - 1 do
+    let v = dst.(w) lor src.(w) in
+    if v <> dst.(w) then begin
+      dst.(w) <- v;
+      changed := true
+    end
+  done;
   !changed
+
+(* [iter_row row f] calls [f j] for each bit [j] set in [row], in
+   increasing order; the cost follows the set bits, not [n]. *)
+let iter_row row f =
+  for w = 0 to Array.length row - 1 do
+    let v = ref row.(w) and j = ref (w * bits_per_word) in
+    while !v <> 0 do
+      if !v land 1 <> 0 then f !j;
+      v := !v lsr 1;
+      incr j
+    done
+  done
+
+(* the row holding the positions that satisfy [keep] *)
+let row_of r keep =
+  let row = Array.make r.words 0 in
+  for j = 0 to r.n - 1 do
+    if keep j then add_row row j
+  done;
+  row
 
 (* In-place reflexive-free transitive closure (Warshall with bitset rows). *)
 let transitive_closure_in_place r =
@@ -130,9 +148,7 @@ let compose a b =
   if a.n <> b.n then invalid_arg "Rel.compose: size mismatch";
   let r = create a.n in
   for i = 0 to a.n - 1 do
-    for j = 0 to a.n - 1 do
-      if mem a i j then ignore (or_row r.rows.(i) b.rows.(j))
-    done
+    iter_row a.rows.(i) (fun j -> ignore (or_row r.rows.(i) b.rows.(j)))
   done;
   r
 
@@ -150,9 +166,7 @@ let is_acyclic r =
 
 let iter r f =
   for i = 0 to r.n - 1 do
-    for j = 0 to r.n - 1 do
-      if mem r i j then f i j
-    done
+    iter_row r.rows.(i) (f i)
   done
 
 let fold r f init =
@@ -164,7 +178,48 @@ let to_list r = fold r (fun i j acc -> (i, j) :: acc) [] |> List.rev
 
 let cardinal r = fold r (fun _ _ acc -> acc + 1) 0
 
-let restrict r keep = of_pred r.n (fun i j -> mem r i j && keep i && keep j)
+let restrict ?(src = fun _ -> true) ?(dst = fun _ -> true) r =
+  let mask = row_of r dst in
+  {
+    r with
+    rows =
+      Array.mapi
+        (fun i row ->
+          if src i then Array.map2 ( land ) row mask else Array.make r.words 0)
+        r.rows;
+  }
+
+let converse r =
+  let c = create r.n in
+  iter r (fun i j -> add c j i);
+  c
+
+(* Lifting by an equivalence, one class at a time: a class reaches the
+   union of its members' rows, widened to whole classes; every member
+   gains that set minus its own class.  O(n·w) plus O(w) per set bit of
+   the class rows, against O(n²) for a per-pair lift. *)
+let lift ~classes r =
+  if Array.length classes <> r.n then invalid_arg "Rel.lift: size mismatch";
+  let members = Array.make r.n [||] in
+  Array.iteri
+    (fun i c ->
+      if Array.length members.(c) = 0 then members.(c) <- Array.make r.words 0;
+      add_row members.(c) i)
+    classes;
+  let out = copy r in
+  Array.iter
+    (fun m ->
+      if Array.length m > 0 then begin
+        let reach = Array.make r.words 0 in
+        iter_row m (fun a -> ignore (or_row reach r.rows.(a)));
+        let wide = Array.make r.words 0 in
+        iter_row reach (fun b ->
+            if not (mem_row wide b) then ignore (or_row wide members.(classes.(b))));
+        Array.iteri (fun w v -> wide.(w) <- v land lnot m.(w)) wide;
+        iter_row m (fun a -> ignore (or_row out.rows.(a) wide))
+      end)
+    members;
+  out
 
 let filter r keep_pair = of_pred r.n (fun i j -> mem r i j && keep_pair i j)
 

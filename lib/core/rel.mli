@@ -1,9 +1,13 @@
 (** Binary relations over trace positions, with the little relation
-    calculus the consistency axioms need: union, relational composition,
-    transitive closure, acyclicity and irreflexivity checks.
+    calculus the consistency axioms need: union, intersection, relational
+    composition, restriction, lifting by an equivalence, transitive
+    closure, acyclicity and irreflexivity checks.
 
-    Represented as bitset rows; all operations are O(n²·w) or better with
-    [w] the words per row (1 for litmus-scale traces). *)
+    Represented as bitset rows, [w] words per row (1 for litmus-scale
+    traces).  Union, intersection, restriction and copying are O(n·w);
+    composition, iteration and lifting are O(n·w) plus a cost per set
+    bit; closure is O(n²·w); only [of_pred] and [filter], which call
+    their predicate per pair, are O(n²) in predicate calls. *)
 
 type t
 
@@ -20,6 +24,7 @@ val add : t -> int -> int -> unit
 val of_pred : int -> (int -> int -> bool) -> t
 val union : t -> t -> t
 val union_many : t list -> t
+val inter : t -> t -> t
 
 val union_into : into:t -> t -> bool
 (** [union_into ~into b] adds [b] into [into] in place; returns [true] if
@@ -62,8 +67,19 @@ val fold : t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
 val to_list : t -> (int * int) list
 val cardinal : t -> int
 
-val restrict : t -> (int -> bool) -> t
-(** Restrict both endpoints to positions satisfying the predicate. *)
+val restrict : ?src:(int -> bool) -> ?dst:(int -> bool) -> t -> t
+(** [restrict ~src ~dst r] keeps the pairs of [r] whose source satisfies
+    [src] and whose target satisfies [dst]; an omitted side keeps every
+    position.  Each predicate is called once per position. *)
+
+val converse : t -> t
+
+val lift : classes:int array -> t -> t
+(** [lift ~classes r] lifts [r] by the equivalence that puts [i] in the
+    class named [classes.(i)] (a position): [(i, j)] is in the result iff
+    it is in [r], or [i] and [j] lie in different classes and [r]
+    relates some member of [i]'s class to some member of [j]'s.
+    Computed once per class, not once per pair. *)
 
 val filter : t -> (int -> int -> bool) -> t
 val subset : t -> t -> bool

@@ -80,7 +80,7 @@ let lemma_c1_holds (ctx : Lift.ctx) hb =
   let t = ctx.trace in
   let decomp = Rel.union_many [ ctx.init_; hbe ctx; ctx.po ] in
   let nb i = not (boundary t i) in
-  Rel.equal (Rel.restrict hb nb) (Rel.restrict decomp nb)
+  Rel.equal (Rel.restrict ~src:nb ~dst:nb hb) (Rel.restrict ~src:nb ~dst:nb decomp)
 
 (* wre and xrwe: the external portions of lwr and xrw (appendix C). *)
 let wre (ctx : Lift.ctx) =

@@ -130,40 +130,59 @@ let rel_init t =
 let rel_po t =
   Rel.of_pred (length t) (fun i j -> i < j && thread t i = thread t j)
 
+(* the writes of each location as (position, timestamp), in trace order *)
+let writes_by_loc t =
+  let by_loc = Hashtbl.create 8 in
+  for i = length t - 1 downto 0 do
+    match act t i with
+    | Action.Write { loc; ts; _ } ->
+        Hashtbl.replace by_loc loc
+          ((i, ts) :: Option.value (Hashtbl.find_opt by_loc loc) ~default:[])
+    | _ -> ()
+  done;
+  by_loc
+
 let rel_ww t =
-  Rel.of_pred (length t) (fun i j ->
-      match (act t i, act t j) with
-      | Action.Write a, Action.Write b ->
-          String.equal a.loc b.loc && Rat.lt a.ts b.ts
-      | _ -> false)
+  let r = Rel.create (length t) in
+  Hashtbl.iter
+    (fun _ ws ->
+      List.iter
+        (fun (i, ti) -> List.iter (fun (j, tj) -> if Rat.lt ti tj then Rel.add r i j) ws)
+        ws)
+    (writes_by_loc t);
+  r
+
+(* a wr b: the read b returns the value the write a wrote, at a's
+   location and timestamp.  The one definition of reads-from: [rel_wr],
+   [wr_source] and with it WF6–WF11 all test it. *)
+let reads_from t a b =
+  match (act t a, act t b) with
+  | Action.Write w, Action.Read r ->
+      String.equal w.loc r.loc && w.value = r.value && Rat.equal w.ts r.ts
+  | _ -> false
 
 let rel_wr t =
-  Rel.of_pred (length t) (fun i j ->
-      match (act t i, act t j) with
-      | Action.Write a, Action.Read b ->
-          String.equal a.loc b.loc && a.value = b.value && Rat.equal a.ts b.ts
-      | _ -> false)
+  let r = Rel.create (length t) in
+  let by_loc = writes_by_loc t in
+  for b = 0 to length t - 1 do
+    match act t b with
+    | Action.Read { loc; _ } ->
+        List.iter
+          (fun (a, _) -> if reads_from t a b then Rel.add r a b)
+          (Option.value (Hashtbl.find_opt by_loc loc) ~default:[])
+    | _ -> ()
+  done;
+  r
 
 (* b rw c iff a wr b and a ww c for some a, and c is plain or nonaborted. *)
-let rel_rw t =
-  let wr = rel_wr t and ww = rel_ww t in
-  let from_read = Rel.compose (Rel.of_pred (length t) (fun i j -> Rel.mem wr j i)) ww in
-  Rel.filter from_read (fun _ c -> is_nonaborted t c)
+let rel_rw t ~wr ~ww =
+  Rel.restrict ~dst:(is_nonaborted t) (Rel.compose (Rel.converse wr) ww)
 
-let wr_source t j =
-  match act t j with
-  | Action.Read { loc; ts; _ } ->
-      let n = length t in
-      let rec go i =
-        if i >= n then None
-        else
-          match act t i with
-          | Action.Write w when String.equal w.loc loc && Rat.equal w.ts ts ->
-              Some i
-          | _ -> go (i + 1)
-      in
-      go 0
-  | _ -> None
+let wr_source t b =
+  let rec go a =
+    if a >= length t then None else if reads_from t a b then Some a else go (a + 1)
+  in
+  go 0
 
 (* -- whole-trace queries ------------------------------------------------- *)
 

@@ -68,15 +68,19 @@ val rel_index : t -> Rel.t
 val rel_init : t -> Rel.t
 val rel_po : t -> Rel.t
 val rel_ww : t -> Rel.t
-val rel_wr : t -> Rel.t
 
-val rel_rw : t -> Rel.t
-(** [b rw c] iff [a wr b] and [a ww c] for some [a], and [c] is plain or
+val rel_wr : t -> Rel.t
+(** [a wr b] iff the read [b] returns the value of the write [a], at
+    [a]'s location and timestamp. *)
+
+val rel_rw : t -> wr:Rel.t -> ww:Rel.t -> Rel.t
+(** [rel_rw t ~wr ~ww], given [t]'s own [rel_wr] and [rel_ww]: [b rw c]
+    iff [a wr b] and [a ww c] for some [a], and [c] is plain or
     nonaborted. *)
 
 val wr_source : t -> int -> int option
-(** The unique write a read takes its value from (matching location and
-    timestamp), if any. *)
+(** [wr_source t b] is the write the read [b] takes its value from: the
+    first [a] with [a wr b], if any (WF3 makes it unique). *)
 
 (** {1 Whole-trace queries} *)
 

@@ -1,4 +1,5 @@
 open Tmx_core
+open Tmx_exec
 open Tb
 
 let pm = Model.programmer
@@ -15,8 +16,8 @@ let priv_trace () =
 let test_privatization_race () =
   let t = priv_trace () in
   Alcotest.(check int) "race-free under pm (HBww)" 0
-    (List.length (Race.races_of_model pm t));
-  let races = Race.races_of_model im t in
+    (List.length (Verdict.execution_races pm t));
+  let races = Verdict.execution_races im t in
   Alcotest.(check bool) "racy under im" true (races <> []);
   let ctx = Lift.make t in
   let hb = Hb.compute im ctx in
@@ -37,22 +38,22 @@ let test_txn_txn_never_race () =
     mk ~locs:[ "x" ] [ b 0; w 0 "x" 1 1; c 0; b 1; w 1 "x" 2 2; c 1 ]
   in
   Alcotest.(check int) "no transactional races" 0
-    (List.length (Race.races_of_model im t))
+    (List.length (Verdict.execution_races im t))
 
 let test_aborted_never_race () =
   let t = mk ~locs:[ "x" ] [ b 0; w 0 "x" 1 1; a 0; w 1 "x" 2 2 ] in
   Alcotest.(check int) "aborted actions do not race" 0
-    (List.length (Race.races_of_model im t))
+    (List.length (Verdict.execution_races im t))
 
 let test_read_read_never_race () =
   let t = mk ~locs:[ "x" ] [ r 0 "x" 0 0; b 1; r 1 "x" 0 0; c 1 ] in
   Alcotest.(check int) "two reads never race" 0
-    (List.length (Race.races_of_model im t))
+    (List.length (Verdict.execution_races im t))
 
 let test_plain_race_detected () =
   let t = mk ~locs:[ "x" ] [ w 0 "x" 1 1; r 1 "x" 1 1 ] in
   Alcotest.(check bool) "plain write/read race" true
-    (Race.races_of_model pm t <> []);
+    (Verdict.execution_races pm t <> []);
   let ctx = Lift.make t in
   let hb = Hb.compute pm ctx in
   Alcotest.(check bool) "but it is not mixed" false (Race.has_mixed_race t hb)
@@ -79,11 +80,11 @@ let test_fence_commit_side_orders () =
     mk ~locs:[ "x" ] [ b 0; w 0 "x" 1 1; c 0; q 1 "x"; w 1 "x" 2 2 ]
   in
   Alcotest.(check int) "fence quiesces the committed txn" 0
-    (List.length (Race.races_of_model im t));
+    (List.length (Verdict.execution_races im t));
   (* without the fence the same trace races *)
   let t' = mk ~locs:[ "x" ] [ b 0; w 0 "x" 1 1; c 0; w 1 "x" 2 2 ] in
   Alcotest.(check bool) "unfenced variant races" true
-    (Race.races_of_model im t' <> [])
+    (Verdict.execution_races im t' <> [])
 
 let test_fence_begin_side_orders () =
   (* HBQB: the transaction begins after the fence, so the plain write
@@ -92,7 +93,7 @@ let test_fence_begin_side_orders () =
     mk ~locs:[ "x" ] [ w 1 "x" 1 1; q 1 "x"; b 0; w 0 "x" 2 2; c 0 ]
   in
   Alcotest.(check int) "fence orders the later txn" 0
-    (List.length (Race.races_of_model im t))
+    (List.length (Verdict.execution_races im t))
 
 let test_fence_wrong_location () =
   (* a fence on an unrelated location protects nothing *)
@@ -100,7 +101,7 @@ let test_fence_wrong_location () =
     mk ~locs:[ "x"; "y" ] [ b 0; w 0 "x" 1 1; c 0; q 1 "y"; w 1 "x" 2 2 ]
   in
   Alcotest.(check bool) "y-fence does not quiesce x" true
-    (Race.races_of_model im t <> [])
+    (Verdict.execution_races im t <> [])
 
 let suite =
   [

@@ -59,8 +59,12 @@ let test_union_restrict () =
   let b = Rel.of_pred 4 (fun i j -> i = 2 && j = 3) in
   let u = Rel.union a b in
   Alcotest.(check int) "union cardinal" 2 (Rel.cardinal u);
-  let restricted = Rel.restrict u (fun i -> i < 2) in
+  let restricted = Rel.restrict ~src:(fun i -> i < 2) ~dst:(fun i -> i < 2) u in
   Alcotest.(check (list (pair int int))) "restricted" [ (0, 1) ] (Rel.to_list restricted);
+  Alcotest.(check (list (pair int int))) "targets only" [ (2, 3) ]
+    (Rel.to_list (Rel.restrict ~dst:(fun j -> j > 2) u));
+  Alcotest.(check (list (pair int int))) "inter" [ (0, 1) ]
+    (Rel.to_list (Rel.inter u (Rel.of_pred 4 (fun i _ -> i = 0))));
   Alcotest.(check bool) "a subset u" true (Rel.subset a u);
   Alcotest.(check bool) "u not subset a" false (Rel.subset u a)
 

@@ -44,7 +44,8 @@ let test_live () =
 let test_relations () =
   let t = paper_trace () in
   let base = 4 in
-  let ww = Trace.rel_ww t and wr = Trace.rel_wr t and rw = Trace.rel_rw t in
+  let ww = Trace.rel_ww t and wr = Trace.rel_wr t in
+  let rw = Trace.rel_rw t ~wr ~ww in
   Alcotest.(check bool) "Wx1 ww Wx2" true (Rel.mem ww (base + 2) (base + 7));
   Alcotest.(check bool) "init-x ww Wx1" true (Rel.mem ww 1 (base + 2) || Rel.mem ww 2 (base + 2));
   Alcotest.(check bool) "Wy1 wr Ry1" true (Rel.mem wr (base + 1) (base + 5));
@@ -59,7 +60,7 @@ let test_rw_excludes_aborted_target () =
   let t =
     mk ~locs:[ "x" ] [ r 1 "x" 0 0; b 0; w 0 "x" 5 1; a 0 ]
   in
-  let rw = Trace.rel_rw t in
+  let rw = Trace.rel_rw t ~wr:(Trace.rel_wr t) ~ww:(Trace.rel_ww t) in
   (* read at position 3, aborted write at position 5 *)
   Alcotest.(check bool) "no rw to aborted" false (Rel.mem rw 3 5)
 

@@ -34,6 +34,11 @@ let test_wf5 () =
 let test_wf6 () =
   let t = mk ~locs:[ "x" ] [ r 0 "x" 7 3 ] in
   Alcotest.(check bool) "unfulfilled read" true
+    (has_violation (function Wellformed.WF6_unfulfilled_read _ -> true | _ -> false) t);
+  (* a write at the read's location and timestamp is not its source when
+     it wrote another value *)
+  let t = mk ~locs:[ "x" ] [ w 0 "x" 1 1; r 1 "x" 2 1 ] in
+  Alcotest.(check bool) "read of a value no write wrote" true
     (has_violation (function Wellformed.WF6_unfulfilled_read _ -> true | _ -> false) t)
 
 let test_wf7 () =
