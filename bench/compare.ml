@@ -1,161 +1,18 @@
 (* Benchmark-regression guard: diff two committed benchmark witnesses
-   (BENCH_stm.json, BENCH_parallel.json, BENCH_reduction.json or
-   BENCH_serve.json) and flag throughput regressions beyond the
-   threshold.  Exposed as `tmx bench-compare OLD NEW`; CI wires it into
-   the exhaustive job as a warn-only step.
+   (BENCH_stm.json, BENCH_arch.json, BENCH_parallel.json,
+   BENCH_reduction.json, BENCH_serve.json or BENCH_loadgen.json) and
+   flag throughput regressions beyond the threshold.  Exposed as
+   `tmx bench-compare OLD NEW`; CI wires it into the exhaustive job as a
+   warn-only step.
 
    The threshold lives here and only here. *)
 
 let default_threshold = 0.25
 
-(* -- a minimal JSON reader ---------------------------------------------------
+module J = Tmx_json
 
-   The two witness schemas are flat and generated by this repo, so a
-   small recursive-descent parser keeps the package free of a JSON
-   dependency (the container image pins the dependency set). *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse_error (Fmt.str "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Fmt.str "expected %c" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_ () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'u' ->
-              (* witnesses never emit \u, but skip it safely *)
-              pos := !pos + 4;
-              Buffer.add_char buf '?'
-          | Some c -> Buffer.add_char buf c
-          | None -> fail "unterminated escape");
-          advance ();
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let numchar c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when numchar c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_ () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (string_ ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-let to_num = function Some (Num f) -> Some f | _ -> None
-let to_str = function Some (Str s) -> Some s | _ -> None
+let num k j = Option.bind (J.mem k j) J.to_float_opt
+let str k j = Option.bind (J.mem k j) J.to_str
 
 (* -- metric extraction -------------------------------------------------------- *)
 
@@ -172,25 +29,21 @@ type metric = { key : string; old_value : float; new_value : float }
    just contribute no such key: compare only flags keys of OLD missing
    from NEW, so old-vs-new stays comparable in both directions. *)
 let stm_metrics j =
-  match member "runs" j with
-  | Some (Arr runs) ->
+  match J.mem "runs" j with
+  | Some (J.Arr runs) ->
       List.concat_map
         (fun run ->
-          match
-            ( to_str (member "workload" run),
-              to_str (member "mode" run),
-              to_str (member "policy" run) )
-          with
+          match (str "workload" run, str "mode" run, str "policy" run) with
           | Some w, Some m, Some p ->
               List.filter_map
                 (fun x -> x)
                 [
                   Option.map
                     (fun v -> (Fmt.str "%s/%s/%s commits_per_sec" w m p, v))
-                    (to_num (member "commits_per_sec" run));
+                    (num "commits_per_sec" run);
                   Option.map
                     (fun r -> (Fmt.str "%s/%s/%s commit_ratio" w m p, 1. -. r))
-                    (to_num (member "abort_rate" run));
+                    (num "abort_rate" run);
                 ]
           | _ -> [])
         runs
@@ -203,26 +56,26 @@ let stm_metrics j =
    getting relatively more expensive is flagged like any other
    regression.  Older witnesses contribute no such keys. *)
 let stm_repair_metrics j =
-  match member "repair_cost" j with
-  | Some (Arr entries) ->
+  match J.mem "repair_cost" j with
+  | Some (J.Arr entries) ->
       List.concat_map
         (fun e ->
-          match (to_str (member "mode" e), to_str (member "policy" e)) with
+          match (str "mode" e, str "policy" e) with
           | Some m, Some p ->
               List.filter_map
                 (fun x -> x)
                 [
                   Option.map
                     (fun v -> (Fmt.str "repair_cost/%s/%s fences" m p, v))
-                    (to_num (member "fences" e));
+                    (num "fences" e);
                   Option.map
                     (fun v ->
                       (Fmt.str "repair_cost/%s/%s fenced_per_sec" m p, v))
-                    (to_num (member "fenced_per_sec" e));
+                    (num "fenced_per_sec" e);
                   Option.map
                     (fun o ->
                       (Fmt.str "repair_cost/%s/%s fence_efficiency" m p, 1. -. o))
-                    (to_num (member "fence_overhead" e));
+                    (num "fence_overhead" e);
                 ]
           | _ -> [])
         entries
@@ -231,13 +84,13 @@ let stm_repair_metrics j =
 let parallel_metrics j =
   List.concat_map
     (fun section ->
-      match member section j with
+      match J.mem section j with
       | Some sec ->
           List.filter_map
             (fun field ->
               Option.map
                 (fun seconds -> (Fmt.str "%s/%s throughput" section field, 1. /. seconds))
-                (to_num (member field sec)))
+                (num field sec))
             [ "seconds_sequential"; "seconds_parallel" ]
       | None -> [])
     [ "verdict_matrix"; "stress_intra_run" ]
@@ -252,13 +105,13 @@ let serve_metrics j =
     [
       Option.map
         (fun s -> ("serve/cold throughput", 1. /. s))
-        (to_num (member "cold_s" j));
+        (num "cold_s" j);
       Option.map
         (fun s -> ("serve/warm throughput", 1. /. s))
-        (to_num (member "warm_s" j));
+        (num "warm_s" j);
       Option.map
         (fun r -> ("serve/warm hit_rate", r))
-        (to_num (member "hit_rate_warm" j));
+        (num "hit_rate_warm" j);
     ]
 
 (* The reduction witness (BENCH_reduction.json): per-strategy wall-clock
@@ -278,25 +131,25 @@ let reduction_section prefix sec =
         [
           Option.map
             (fun s -> (Fmt.str "%s/%s throughput" prefix strat, 1. /. s))
-            (to_num (member strat (Option.value ~default:Null (member "seconds" sec))));
+            (Option.bind (J.mem "seconds" sec) (num strat));
           Option.map
             (fun e -> (Fmt.str "%s/%s pruning" prefix strat, 1e6 /. e))
-            (to_num (member strat (Option.value ~default:Null (member "explored" sec))));
+            (Option.bind (J.mem "explored" sec) (num strat));
         ])
     reduction_strategies
 
 let reduction_metrics j =
   let catalog =
-    match member "catalog_matrix" j with
+    match J.mem "catalog_matrix" j with
     | Some sec -> reduction_section "catalog_matrix" sec
     | None -> []
   in
   let frontier =
-    match member "frontier" j with
-    | Some (Arr entries) ->
+    match J.mem "frontier" j with
+    | Some (J.Arr entries) ->
         List.concat_map
           (fun e ->
-            match to_str (member "name" e) with
+            match str "name" e with
             | Some name -> reduction_section (Fmt.str "frontier/%s" name) e
             | None -> [])
           entries
@@ -312,11 +165,11 @@ let reduction_metrics j =
    past any threshold. *)
 let loadgen_metrics j =
   let per_shard =
-    match member "shards" j with
-    | Some (Arr entries) ->
+    match J.mem "shards" j with
+    | Some (J.Arr entries) ->
         List.concat_map
           (fun e ->
-            match to_num (member "shards" e) with
+            match num "shards" e with
             | None -> []
             | Some n ->
                 let prefix = Fmt.str "shards=%d" (int_of_float n) in
@@ -325,27 +178,27 @@ let loadgen_metrics j =
                   [
                     Option.map
                       (fun v -> (Fmt.str "%s throughput_rps" prefix, v))
-                      (to_num (member "throughput_rps" e));
+                      (num "throughput_rps" e);
                     Option.map
                       (fun v -> (Fmt.str "%s hit_rate" prefix, v))
-                      (to_num (member "hit_rate" e));
+                      (num "hit_rate" e);
                     Option.map
                       (fun v ->
                         (Fmt.str "%s p95_responsiveness" prefix, 1. /. Float.max 1e-9 v))
-                      (to_num (member "p95_ms" e));
+                      (num "p95_ms" e);
                     Option.map
                       (fun v ->
                         (Fmt.str "%s p99_responsiveness" prefix, 1. /. Float.max 1e-9 v))
-                      (to_num (member "p99_ms" e));
+                      (num "p99_ms" e);
                   ])
           entries
     | _ -> []
   in
   let oracle =
-    match member "oracle" j with
+    match J.mem "oracle" j with
     | Some o -> (
-        match member "identical" o with
-        | Some (Bool b) -> [ ("oracle identical", if b then 1.0 else 0.0) ]
+        match J.mem "identical" o with
+        | Some (J.Bool b) -> [ ("oracle identical", if b then 1.0 else 0.0) ]
         | _ -> [])
     | None -> []
   in
@@ -359,36 +212,35 @@ let loadgen_metrics j =
    host-dependent scheduler-noise territory, unlike the boolean claims. *)
 let arch_metrics j =
   let runs =
-    match member "runs" j with
-    | Some (Arr runs) ->
+    match J.mem "runs" j with
+    | Some (J.Arr runs) ->
         List.concat_map
           (fun run ->
-            match (to_str (member "arch" run), to_str (member "workload" run))
-            with
+            match (str "arch" run, str "workload" run) with
             | Some a, Some w ->
                 List.filter_map
                   (fun x -> x)
                   [
                     Option.map
                       (fun v -> (Fmt.str "arch/%s/%s fenced_per_sec" a w, v))
-                      (to_num (member "fenced_per_sec" run));
+                      (num "fenced_per_sec" run);
                     Option.map
                       (fun p ->
                         (Fmt.str "arch/%s/%s fence_efficiency" a w, 1. -. p))
-                      (to_num (member "penalty" run));
+                      (num "penalty" run);
                   ]
             | _ -> [])
           runs
     | _ -> []
   in
   let claims =
-    match member "claims" j with
-    | Some (Obj fields) ->
+    match J.mem "claims" j with
+    | Some (J.Obj fields) ->
         List.filter_map
           (fun (k, v) ->
             match v with
-            | Bool b -> Some (Fmt.str "claims/%s" k, if b then 1.0 else 0.0)
-            | Num n -> Some (Fmt.str "claims/%s" k, n)
+            | J.Bool b -> Some (Fmt.str "claims/%s" k, if b then 1.0 else 0.0)
+            | J.Num n -> Some (Fmt.str "claims/%s" k, n)
             | _ -> None)
           fields
     | _ -> []
@@ -396,7 +248,7 @@ let arch_metrics j =
   runs @ claims
 
 let metrics_of j =
-  match to_str (member "experiment" j) with
+  match str "experiment" j with
   | Some "stm_runtime_contention" -> Ok (stm_metrics j @ stm_repair_metrics j)
   | Some "arch_fence_penalty" -> Ok (arch_metrics j)
   | Some "parallel_enumeration_speedup" -> Ok (parallel_metrics j)
@@ -444,10 +296,11 @@ let key_selected gate_keys key =
 let compare_files ?(threshold = default_threshold) ?(gate_keys = []) old_path
     new_path =
   let load path =
-    match parse (read_file path) with
-    | exception Parse_error msg -> Error (Fmt.str "%s: %s" path msg)
+    match J.of_string (read_file path) with
     | exception Sys_error msg -> Error msg
-    | j -> Result.map_error (fun e -> Fmt.str "%s: %s" path e) (metrics_of j)
+    | j ->
+        Result.map_error (fun e -> Fmt.str "%s: %s" path e)
+          (Result.bind j metrics_of)
   in
   Result.bind (load old_path) (fun old_metrics ->
       Result.map

@@ -357,6 +357,12 @@ let best_of n f =
   done;
   (r0, !best)
 
+let write_json file j =
+  let oc = open_out file in
+  output_string oc (Tmx_json.to_string j);
+  output_char oc '\n';
+  close_out oc
+
 (* A synthetic enumeration-heavy program (one location, four competing
    writers, a three-read observer): thousands of candidate graphs, so
    the intra-run task split has something to chew on. *)
@@ -426,31 +432,28 @@ let parallel_speedup () =
     "stress program (%d graphs): jobs=1 %.3fs   jobs=%d %.3fs   speedup \
      %.2fx   outcome sets identical: %b   (%d cores available)@."
     sseq.Enumerate.graphs st_seq jobs st_par s_speedup s_identical cores;
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    {|{
-  "experiment": "parallel_enumeration_speedup",
-  "jobs": %d,
-  "cores_available": %d,
-  "verdict_matrix": {
-    "cells": %d,
-    "seconds_sequential": %.6f,
-    "seconds_parallel": %.6f,
-    "speedup": %.3f,
-    "outcomes_identical": %b
-  },
-  "stress_intra_run": {
-    "candidate_graphs": %d,
-    "seconds_sequential": %.6f,
-    "seconds_parallel": %.6f,
-    "speedup": %.3f,
-    "outcomes_identical": %b
-  }
-}
-|}
-    jobs cores (Array.length cells) t_seq t_par speedup identical
-    sseq.Enumerate.graphs st_seq st_par s_speedup s_identical;
-  close_out oc;
+  let leg count_key count t_seq t_par speedup identical =
+    Tmx_json.(
+      Obj
+        [
+          (count_key, int count);
+          ("seconds_sequential", Num t_seq);
+          ("seconds_parallel", Num t_par);
+          ("speedup", Num speedup);
+          ("outcomes_identical", Bool identical);
+        ])
+  in
+  write_json "BENCH_parallel.json"
+    Tmx_json.(
+      Obj
+        [
+          ("experiment", Str "parallel_enumeration_speedup");
+          ("jobs", int jobs);
+          ("cores_available", int cores);
+          ("verdict_matrix", leg "cells" (Array.length cells) t_seq t_par speedup identical);
+          ( "stress_intra_run",
+            leg "candidate_graphs" sseq.Enumerate.graphs st_seq st_par s_speedup s_identical );
+        ]);
   if not (identical && s_identical) then
     failwith "parallel enumeration diverged from sequential"
 
@@ -580,47 +583,45 @@ let reduction_speedup () =
   let all_identical =
     identical && List.for_all (fun (_, _, _, _, _, _, _, _, ok) -> ok) frontier
   in
-  let oc = open_out "BENCH_reduction.json" in
-  let _, e_none = totals (results Enumerate.No_reduction) in
-  let _, e_dpor = totals (results Enumerate.Dpor) in
-  let _, e_sym = totals (results Enumerate.Dpor_sym) in
-  Printf.fprintf oc
-    {|{
-  "experiment": "reduction_speedup",
-  "catalog_matrix": {
-    "pairs": %d,
-    "candidate_graphs": %d,
-    "seconds": { "none": %.6f, "dpor": %.6f, "dpor+sym": %.6f },
-    "explored": { "none": %d, "dpor": %d, "dpor+sym": %d },
-    "speedup": { "dpor": %.3f, "dpor+sym": %.3f },
-    "verdicts_identical": %b
-  },
-  "frontier": [%s
-  ]
-}
-|}
-    pairs graphs t_none
-    (seconds Enumerate.Dpor)
-    (seconds Enumerate.Dpor_sym)
-    e_none e_dpor e_sym
-    (t_none /. seconds Enumerate.Dpor)
-    (t_none /. seconds Enumerate.Dpor_sym)
-    identical
-    (String.concat ","
-       (List.map
-          (fun (name, threads, (rn : Enumerate.result), tn,
-                (rd : Enumerate.result), td, (rs : Enumerate.result), ts, ok) ->
-            Printf.sprintf
-              {|
-    { "name": "%s", "threads": %d, "candidate_graphs": %d,
-      "seconds": { "none": %.6f, "dpor": %.6f, "dpor+sym": %.6f },
-      "explored": { "none": %d, "dpor": %d, "dpor+sym": %d },
-      "speedup": { "dpor": %.3f, "dpor+sym": %.3f },
-      "verdicts_identical": %b }|}
-              name threads rn.graphs tn td ts rn.explored rd.explored
-              rs.explored (tn /. td) (tn /. ts) ok)
-          frontier));
-  close_out oc;
+  (* the fields a catalog-matrix and a frontier entry share *)
+  let entry graphs (tn, td, ts) (en, ed, es) ok =
+    let per_strategy none dpor sym =
+      Tmx_json.Obj [ ("none", none); ("dpor", dpor); ("dpor+sym", sym) ]
+    in
+    Tmx_json.
+      [
+        ("candidate_graphs", int graphs);
+        ("seconds", per_strategy (Num tn) (Num td) (Num ts));
+        ("explored", per_strategy (int en) (int ed) (int es));
+        ("speedup", Obj [ ("dpor", Num (tn /. td)); ("dpor+sym", Num (tn /. ts)) ]);
+        ("verdicts_identical", Bool ok);
+      ]
+  in
+  let explored r = snd (totals (results r)) in
+  write_json "BENCH_reduction.json"
+    Tmx_json.(
+      Obj
+        [
+          ("experiment", Str "reduction_speedup");
+          ( "catalog_matrix",
+            Obj
+              (("pairs", int pairs)
+              :: entry graphs
+                   (t_none, seconds Enumerate.Dpor, seconds Enumerate.Dpor_sym)
+                   (explored Enumerate.No_reduction, explored Enumerate.Dpor,
+                    explored Enumerate.Dpor_sym)
+                   identical) );
+          ( "frontier",
+            Arr
+              (List.map
+                 (fun (name, threads, (rn : Enumerate.result), tn,
+                       (rd : Enumerate.result), td, (rs : Enumerate.result), ts, ok) ->
+                   Obj
+                     (("name", Str name)
+                     :: ("threads", int threads)
+                     :: entry rn.graphs (tn, td, ts) (rn.explored, rd.explored, rs.explored) ok))
+                 frontier) );
+        ]);
   if not all_identical then
     failwith "reduced enumeration diverged from the unreduced reference"
 
@@ -676,25 +677,25 @@ let serve_cache_speedup () =
   Fmt.pr "  warm speedup over cold: %.1fx   warm hit rate: %.3f   reports \
           byte-identical: %b@."
     speedup hit_rate_warm identical;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    {|{
-  "experiment": "serve_cache",
-  "programs": %d,
-  "entries": %d,
-  "baseline_s": %.6f,
-  "cold_s": %.6f,
-  "warm_s": %.6f,
-  "speedup": %.3f,
-  "cold": { "hits": %d, "misses": %d },
-  "warm": { "hits": %d, "misses": %d },
-  "hit_rate_warm": %.4f,
-  "verdicts_identical": %b
-}
-|}
-    programs entries base_s cold_s warm_s speedup cs.hits cs.misses ws.hits
-    ws.misses hit_rate_warm identical;
-  close_out oc;
+  let hits_misses (c : Cache.stats) =
+    Tmx_json.(Obj [ ("hits", int c.hits); ("misses", int c.misses) ])
+  in
+  write_json "BENCH_serve.json"
+    Tmx_json.(
+      Obj
+        [
+          ("experiment", Str "serve_cache");
+          ("programs", int programs);
+          ("entries", int entries);
+          ("baseline_s", Num base_s);
+          ("cold_s", Num cold_s);
+          ("warm_s", Num warm_s);
+          ("speedup", Num speedup);
+          ("cold", hits_misses cs);
+          ("warm", hits_misses ws);
+          ("hit_rate_warm", Num hit_rate_warm);
+          ("verdicts_identical", Bool identical);
+        ]);
   ignore (Cache.clear ~dir);
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   if not identical then failwith "cached litmus reports diverged from uncached"
@@ -796,32 +797,23 @@ let serve_loadgen () =
   Fmt.pr "1-vs-4-shard byte-identity oracle (%d requests): %s@." oracle_requests
     (if identical then "identical" else "MISMATCH");
   let shard_json (shards, (r : Loadgen.report)) =
-    Json.Obj
-      (("shards", Json.int shards)
+    Tmx_json.Obj
+      (("shards", Tmx_json.int shards)
       ::
-      (match Loadgen.report_to_json r with Json.Obj fs -> fs | _ -> []))
+      (match Loadgen.report_to_json r with Tmx_json.Obj fs -> fs | _ -> []))
   in
-  let witness =
-    Json.Obj
-      [
-        ("experiment", Json.str "serve_loadgen");
-        ("seed", Json.int lg_config.seed);
-        ("skew", Json.Num lg_config.skew);
-        ("concurrency", Json.int lg_config.concurrency);
-        ("duration_s", Json.Num duration_s);
-        ("shards", Json.Arr (List.map shard_json reports));
-        ( "oracle",
-          Json.Obj
-            [
-              ("requests", Json.int oracle_requests);
-              ("identical", Json.Bool identical);
-            ] );
-      ]
-  in
-  let oc = open_out "BENCH_loadgen.json" in
-  output_string oc (Json.to_string witness);
-  output_string oc "\n";
-  close_out oc;
+  write_json "BENCH_loadgen.json"
+    Tmx_json.(
+      Obj
+        [
+          ("experiment", Str "serve_loadgen");
+          ("seed", int lg_config.seed);
+          ("skew", Num lg_config.skew);
+          ("concurrency", int lg_config.concurrency);
+          ("duration_s", Num duration_s);
+          ("shards", Arr (List.map shard_json reports));
+          ("oracle", Obj [ ("requests", int oracle_requests); ("identical", Bool identical) ]);
+        ]);
   if not identical then
     failwith "sharded responses diverged from the single-shard reference"
 

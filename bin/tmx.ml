@@ -329,16 +329,10 @@ let lint_cmd =
               | Ok () -> Tmx_analysis.Lint.lint p)
             programs
         in
-        if sarif then print_string (Tmx_analysis.Lint.sarif_of_reports reports)
-        else if json then begin
-          print_string "[";
-          List.iteri
-            (fun i r ->
-              if i > 0 then print_string ",\n";
-              print_string (Tmx_analysis.Lint.to_json r))
-            reports;
-          print_string "]\n"
-        end
+        if sarif then print_endline (Tmx_analysis.Lint.sarif_of_reports reports)
+        else if json then
+          print_endline
+            ("[" ^ String.concat ",\n" (List.map Tmx_analysis.Lint.to_json reports) ^ "]")
         else
           List.iter
             (fun (r : Tmx_analysis.Lint.report) ->
@@ -845,20 +839,20 @@ let stm_bench_cmd =
               r.arch = Tmx_arch.Arch.Armv8
               && (r.imprecise || r.gap_fences = Some None))
         in
-        let armv8_gaps =
+        let gaps arch =
           count (fun (r : Tmx_arch.Diff.row) ->
-              r.arch = Tmx_arch.Arch.Armv8 && r.gap_fences <> None)
+              r.arch = arch && r.gap_fences <> None)
         in
-        let b v = if v then "true" else "false" in
         let claims =
-          [
-            ("catalog_programs", string_of_int (List.length rows));
-            ("x86tso_strongest_validated", b (bad Tmx_arch.Arch.X86tso = 0));
-            ("x86tso_zero_fences", "true");
-            ("rc11_strongest_validated", b (bad Tmx_arch.Arch.Rc11 = 0));
-            ("armv8_gap_programs", string_of_int armv8_gaps);
-            ("armv8_gaps_closed", b (armv8_open = 0));
-          ]
+          Tmx_json.
+            [
+              ("catalog_programs", int (List.length rows));
+              ("x86tso_strongest_validated", Bool (bad Tmx_arch.Arch.X86tso = 0));
+              ("x86tso_zero_fences", Bool (gaps Tmx_arch.Arch.X86tso = 0));
+              ("rc11_strongest_validated", Bool (bad Tmx_arch.Arch.Rc11 = 0));
+              ("armv8_gap_programs", int (gaps Tmx_arch.Arch.Armv8));
+              ("armv8_gaps_closed", Bool (armv8_open = 0));
+            ]
         in
         Stm_bench.write_arch_json ~claims ~file config costs;
         Fmt.pr "wrote %s (%d arch runs)@." file (List.length costs)
@@ -1021,7 +1015,7 @@ let fuzz_cmd =
               | _ -> Error "--minimize needs exactly one --oracle")
           | None ->
               let report = Runner.run opts in
-              if json then print_string (Runner.report_to_json report)
+              if json then print_endline (Runner.report_to_json report)
               else Fmt.pr "%a@." Runner.pp_report report;
               if not (Runner.ok report) then exit 1;
               Ok ())
@@ -1088,8 +1082,9 @@ let bench_compare_cmd =
   Cmd.v
     (Cmd.info "bench-compare"
        ~doc:
-         "Diff two benchmark witnesses (BENCH_stm.json, \
-          BENCH_parallel.json, BENCH_serve.json or BENCH_loadgen.json) \
+         "Diff two benchmark witnesses of the same schema \
+          (BENCH_stm.json, BENCH_arch.json, BENCH_parallel.json, \
+          BENCH_reduction.json, BENCH_serve.json or BENCH_loadgen.json) \
           and exit 1 on a throughput or cache-hit-rate regression beyond \
           the threshold.  CI runs this warn-only against the committed \
           witnesses, except the gated keys of BENCH_stm.json on pushes \
@@ -1560,9 +1555,6 @@ let serve_cmd =
         if shards = 1 then serve_process ~listener cfg
         else supervise ~listener cfg shards;
         Server.close_listener listener;
-        Option.iter
-          (fun path -> try Unix.unlink path with _ -> ())
-          cfg.Server.socket;
         Ok ()
   in
   let term =

@@ -195,75 +195,56 @@ let pp_report ppf r =
 
 (* -- JSON -------------------------------------------------------------------- *)
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let show pp x = Tmx_json.Str (Fmt.str "%a" pp x)
 
-let json_access buf (a : Access.t) =
-  Buffer.add_string buf
-    (Fmt.str "{\"thread\": %d, \"mode\": \"%a\", \"kind\": \"%a\", " a.thread
-       Access.pp_mode a.mode Access.pp_kind a.kind);
-  Buffer.add_string buf "\"loc\": ";
-  json_escape buf a.loc;
-  Buffer.add_string buf ", \"path\": ";
-  json_escape buf a.path;
-  Buffer.add_string buf ", \"stmt\": ";
-  json_escape buf (Fmt.str "%a" Ast.pp_stmt a.stmt);
-  Buffer.add_string buf "}"
+let json_access (a : Access.t) =
+  Tmx_json.(
+    Obj
+      [
+        ("thread", int a.thread);
+        ("mode", show Access.pp_mode a.mode);
+        ("kind", show Access.pp_kind a.kind);
+        ("loc", Str a.loc);
+        ("path", Str a.path);
+        ("stmt", show Ast.pp_stmt a.stmt);
+      ])
+
+let json_summary (s : Access.summary) =
+  Tmx_json.(
+    Obj
+      [
+        ("name", Str s.loc);
+        ("class", show Access.pp_class s.class_);
+        ("plain_reads", int s.counts.plain_reads);
+        ("plain_writes", int s.counts.plain_writes);
+        ("tx_reads", int s.counts.tx_reads);
+        ("tx_writes", int s.counts.tx_writes);
+        ("threads", Arr (List.map int s.threads));
+      ])
+
+let json_finding f =
+  Tmx_json.(
+    Obj
+      [
+        ("kind", Str (match f.kind with Mixed_race -> "mixed" | L_race -> "l-race"));
+        ("severity", show pp_severity f.severity);
+        ("loc", Str f.loc);
+        ("a", json_access f.a);
+        ("b", json_access f.b);
+        ("protections", Arr (List.map (show Order.pp_protection) f.protections));
+        ("fix", show pp_fix f.fix);
+      ])
 
 let to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"program\": ";
-  json_escape buf r.program.Ast.name;
-  Buffer.add_string buf
-    (Fmt.str ",\n \"race_free\": %b,\n \"locations\": [" (race_free r));
-  List.iteri
-    (fun i (s : Access.summary) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "\n  {\"name\": ";
-      json_escape buf s.loc;
-      Buffer.add_string buf
-        (Fmt.str
-           ", \"class\": \"%a\", \"plain_reads\": %d, \"plain_writes\": %d, \
-            \"tx_reads\": %d, \"tx_writes\": %d, \"threads\": [%a]}"
-           Access.pp_class s.class_ s.counts.plain_reads s.counts.plain_writes
-           s.counts.tx_reads s.counts.tx_writes
-           Fmt.(list ~sep:comma int)
-           s.threads))
-    r.summaries;
-  Buffer.add_string buf "],\n \"findings\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Fmt.str "\n  {\"kind\": \"%s\", \"severity\": \"%a\", \"loc\": "
-           (match f.kind with Mixed_race -> "mixed" | L_race -> "l-race")
-           pp_severity f.severity);
-      json_escape buf f.loc;
-      Buffer.add_string buf ", \"a\": ";
-      json_access buf f.a;
-      Buffer.add_string buf ", \"b\": ";
-      json_access buf f.b;
-      Buffer.add_string buf ", \"protections\": [";
-      List.iteri
-        (fun j pr ->
-          if j > 0 then Buffer.add_string buf ", ";
-          json_escape buf (Fmt.str "%a" Order.pp_protection pr))
-        f.protections;
-      Buffer.add_string buf "], \"fix\": ";
-      json_escape buf (Fmt.str "%a" pp_fix f.fix);
-      Buffer.add_string buf "}")
-    r.findings;
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  Tmx_json.(
+    to_string
+      (Obj
+         [
+           ("program", Str r.program.Ast.name);
+           ("race_free", Bool (race_free r));
+           ("locations", Arr (List.map json_summary r.summaries));
+           ("findings", Arr (List.map json_finding r.findings));
+         ]))
 
 (* -- SARIF 2.1.0 -------------------------------------------------------------- *)
 
@@ -279,66 +260,90 @@ let sarif_level = function
 
 let sarif_rule_id = function Mixed_race -> "mixed-race" | L_race -> "l-race"
 
+let sarif_rule kind text =
+  Tmx_json.(
+    Obj
+      [
+        ("id", Str (sarif_rule_id kind));
+        ("shortDescription", Obj [ ("text", Str text) ]);
+      ])
+
+let sarif_result r f =
+  let program = r.program.Ast.name in
+  let location (a : Access.t) =
+    Tmx_json.(
+      Obj
+        [
+          ( "logicalLocations",
+            Arr
+              [
+                Obj
+                  [
+                    ("kind", Str "member");
+                    ("fullyQualifiedName", Str (program ^ "/" ^ a.path));
+                  ];
+              ] );
+        ])
+  in
+  Tmx_json.(
+    Obj
+      [
+        ("ruleId", Str (sarif_rule_id f.kind));
+        ("level", Str (sarif_level f.severity));
+        ( "message",
+          Obj
+            [
+              ( "text",
+                Str
+                  (Fmt.str "%a on %s: %a vs %a; fix: %a" pp_kind f.kind f.loc
+                     Access.pp f.a Access.pp f.b pp_fix f.fix) );
+            ] );
+        ("locations", Arr [ location f.a; location f.b ]);
+        ( "partialFingerprints",
+          Obj
+            [
+              ( "tmxFindingKey/v1",
+                Str
+                  (Fmt.str "%s:%s:%s:%s" program f.loc f.a.Access.path
+                     f.b.Access.path) );
+            ] );
+        ( "properties",
+          Obj [ ("severity", show pp_severity f.severity); ("program", Str program) ]
+        );
+      ])
+
 let sarif_of_reports reports =
-  let buf = Buffer.create 4096 in
-  let str s = json_escape buf s in
-  Buffer.add_string buf
-    "{\n\
-    \  \"$schema\": \
-     \"https://docs.oasis-open.org/sarif/sarif/v2.1.0/os/schemas/sarif-schema-2.1.0.json\",\n\
-    \  \"version\": \"2.1.0\",\n\
-    \  \"runs\": [\n\
-    \    {\n\
-    \      \"tool\": {\n\
-    \        \"driver\": {\n\
-    \          \"name\": \"tmx-lint\",\n\
-    \          \"informationUri\": \"https://example.invalid/tmx\",\n\
-    \          \"rules\": [\n\
-    \            {\"id\": \"mixed-race\", \"shortDescription\": {\"text\": \
-     \"candidate mixed race: transactional write vs plain write on a \
-     shared location\"}},\n\
-    \            {\"id\": \"l-race\", \"shortDescription\": {\"text\": \
-     \"candidate L-race: unordered conflicting pair with a plain \
-     access\"}}\n\
-    \          ]\n\
-    \        }\n\
-    \      },\n\
-    \      \"results\": [";
-  let first = ref true in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun f ->
-          if not !first then Buffer.add_string buf ",";
-          first := false;
-          Buffer.add_string buf "\n        {\"ruleId\": \"";
-          Buffer.add_string buf (sarif_rule_id f.kind);
-          Buffer.add_string buf "\", \"level\": \"";
-          Buffer.add_string buf (sarif_level f.severity);
-          Buffer.add_string buf "\", \"message\": {\"text\": ";
-          str
-            (Fmt.str "%a on %s: %a vs %a; fix: %a" pp_kind f.kind f.loc
-               Access.pp f.a Access.pp f.b pp_fix f.fix);
-          Buffer.add_string buf "},\n         \"locations\": [";
-          List.iteri
-            (fun i (a : Access.t) ->
-              if i > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf "{\"logicalLocations\": [{\"kind\": ";
-              str "member";
-              Buffer.add_string buf ", \"fullyQualifiedName\": ";
-              str (r.program.Ast.name ^ "/" ^ a.path);
-              Buffer.add_string buf "}]}")
-            [ f.a; f.b ];
-          Buffer.add_string buf "],\n         \"partialFingerprints\": {\"tmxFindingKey/v1\": ";
-          str
-            (Fmt.str "%s:%s:%s:%s" r.program.Ast.name f.loc f.a.Access.path
-               f.b.Access.path);
-          Buffer.add_string buf "},\n         \"properties\": {\"severity\": ";
-          str (Fmt.str "%a" pp_severity f.severity);
-          Buffer.add_string buf ", \"program\": ";
-          str r.program.Ast.name;
-          Buffer.add_string buf "}}")
-        r.findings)
-    reports;
-  Buffer.add_string buf "\n      ]\n    }\n  ]\n}\n";
-  Buffer.contents buf
+  let driver =
+    Tmx_json.(
+      Obj
+        [
+          ("name", Str "tmx-lint");
+          ("informationUri", Str "https://example.invalid/tmx");
+          ( "rules",
+            Arr
+              [
+                sarif_rule Mixed_race
+                  "candidate mixed race: transactional write vs plain write \
+                   on a shared location";
+                sarif_rule L_race
+                  "candidate L-race: unordered conflicting pair with a plain \
+                   access";
+              ] );
+        ])
+  in
+  let results =
+    List.concat_map (fun r -> List.map (sarif_result r) r.findings) reports
+  in
+  Tmx_json.(
+    to_string
+      (Obj
+         [
+           ( "$schema",
+             Str
+               "https://docs.oasis-open.org/sarif/sarif/v2.1.0/os/schemas/sarif-schema-2.1.0.json"
+           );
+           ("version", Str "2.1.0");
+           ( "runs",
+             Arr [ Obj [ ("tool", Obj [ ("driver", driver) ]); ("results", Arr results) ] ]
+           );
+         ]))

@@ -351,65 +351,36 @@ let pp ppf r =
       (Fmt.list ~sep:Fmt.cut (fun ppf e -> Fmt.pf ppf "  - %a" Patch.pp_edit e))
       r.edits (String.sub r.certificate 0 12) r.candidates r.oracle_calls
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-(* a failed synthesis still needs a well-formed JSON entry (error
-   messages carry UTF-8, which OCaml's %S would mangle) *)
 let error_to_json ~(program : Ast.program) msg =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"program\": ";
-  json_escape buf program.Ast.name;
-  Buffer.add_string buf ", \"error\": ";
-  json_escape buf msg;
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+  Tmx_json.(to_string (Obj [ ("program", Str program.Ast.name); ("error", Str msg) ]))
 
 let to_json ~model ~goal r =
-  let buf = Buffer.create 1024 in
   let c = cost r in
-  Buffer.add_string buf "{\"program\": ";
-  json_escape buf r.original.Ast.name;
-  Buffer.add_string buf
-    (Fmt.str
-       ",\n \"model\": \"%s\", \"goal\": \"%s\",\n \"edits\": %d, \
-        \"fences\": %d, \"promotes\": %d, \"absorbs\": %d,\n \"edit_list\": ["
-       model.Tmx_core.Model.name (goal_name goal) c.n_edits c.n_fences
-       c.n_promotes c.n_absorbs);
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ", ";
-      json_escape buf (Fmt.str "%a" Patch.pp_edit e))
-    r.edits;
-  Buffer.add_string buf "],\n \"certificate\": ";
-  json_escape buf r.certificate;
-  Buffer.add_string buf
-    (Fmt.str ",\n \"candidates\": %d, \"oracle_calls\": %d, \"discards\": ["
-       r.candidates r.oracle_calls);
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "\n  {\"subset\": [";
-      List.iteri
-        (fun j e ->
-          if j > 0 then Buffer.add_string buf ", ";
-          json_escape buf (Fmt.str "%a" Patch.pp_edit e))
-        d.subset;
-      Buffer.add_string buf "], \"witness\": ";
-      json_escape buf
-        (Fmt.str "%a" Tmx_exec.Verdict.pp_race_witness d.witness);
-      Buffer.add_string buf "}")
-    (List.rev r.discards);
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  let edits es =
+    Tmx_json.Arr (List.map (fun e -> Tmx_json.Str (Fmt.str "%a" Patch.pp_edit e)) es)
+  in
+  let discard d =
+    Tmx_json.(
+      Obj
+        [
+          ("subset", edits d.subset);
+          ("witness", Str (Fmt.str "%a" Tmx_exec.Verdict.pp_race_witness d.witness));
+        ])
+  in
+  Tmx_json.(
+    to_string
+      (Obj
+         [
+           ("program", Str r.original.Ast.name);
+           ("model", Str model.Tmx_core.Model.name);
+           ("goal", Str (goal_name goal));
+           ("edits", int c.n_edits);
+           ("fences", int c.n_fences);
+           ("promotes", int c.n_promotes);
+           ("absorbs", int c.n_absorbs);
+           ("edit_list", edits r.edits);
+           ("certificate", Str r.certificate);
+           ("candidates", int r.candidates);
+           ("oracle_calls", int r.oracle_calls);
+           ("discards", Arr (List.map discard (List.rev r.discards)));
+         ]))

@@ -84,5 +84,4 @@ val pp : t Fmt.t
 val to_json : model:Tmx_core.Model.t -> goal:goal -> t -> string
 
 val error_to_json : program:Tmx_lang.Ast.program -> string -> string
-(** A well-formed JSON entry for a failed synthesis (error messages may
-    carry UTF-8, which [%S] would mangle). *)
+(** The JSON entry [{"program", "error"}] for a failed synthesis. *)

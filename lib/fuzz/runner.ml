@@ -237,69 +237,48 @@ let pp_report ppf (r : report) =
       Fmt.(list ~sep:cut pp_failure)
       r.failures
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let failure_to_json (f : failure) =
-  let prog p = Fmt.str "\"%s\"" (json_escape (Tmx_litmus.Export.program_to_string p)) in
-  Fmt.str
-    "{\"oracle\": \"%s\", \"origin\": \"%s\", \"detail\": \"%s\", \
-     \"program\": %s, \"minimized\": %s, \"shrink_steps\": %d, \
-     \"minimized_statements\": %s, \"saved\": %s}"
-    (json_escape f.oracle) (json_escape f.origin) (json_escape f.detail)
-    (prog f.program)
-    (match f.minimized with Some m -> prog m | None -> "null")
-    f.shrink_steps
-    (match f.minimized with
-    | Some m -> string_of_int (Shrink.size m)
-    | None -> "null")
-    (match f.saved with
-    | Some path -> Fmt.str "\"%s\"" (json_escape path)
-    | None -> "null")
+  let prog p = Tmx_json.Str (Tmx_litmus.Export.program_to_string p) in
+  let opt g = function Some x -> g x | None -> Tmx_json.Null in
+  Tmx_json.(
+    Obj
+      [
+        ("oracle", Str f.oracle);
+        ("origin", Str f.origin);
+        ("detail", Str f.detail);
+        ("program", prog f.program);
+        ("minimized", opt prog f.minimized);
+        ("shrink_steps", int f.shrink_steps);
+        ("minimized_statements", opt (fun m -> int (Shrink.size m)) f.minimized);
+        ("saved", opt str f.saved);
+      ])
 
 let report_to_json (r : report) =
-  Fmt.str
-    "{\n\
-     \  \"experiment\": \"differential_fuzz\",\n\
-     \  \"seed\": %d,\n\
-     \  \"jobs\": %d,\n\
-     \  \"generated\": %d,\n\
-     \  \"corpus_replayed\": %d,\n\
-     \  \"crashes_replayed\": %d,\n\
-     \  \"corpus_skipped\": %d,\n\
-     \  \"corpus_deduped\": %d,\n\
-     \  \"skipped_files\": [%s],\n\
-     \  \"checks\": %d,\n\
-     \  \"oracles\": [%s],\n\
-     \  \"failures\": [%s],\n\
-     \  \"elapsed_s\": %.3f,\n\
-     \  \"budget_exhausted\": %b,\n\
-     \  \"ok\": %b\n\
-     }"
-    r.seed r.jobs r.generated r.corpus_replayed r.crashes_replayed
-    r.corpus_skipped r.corpus_deduped
-    (String.concat ", "
-       (List.map
-          (fun (file, msg) ->
-            Fmt.str "{\"file\": \"%s\", \"error\": \"%s\"}" (json_escape file)
-              (json_escape msg))
-          r.skipped_files))
-    r.checks
-    (String.concat ", "
-       (List.map
-          (fun (o, n) -> Fmt.str "{\"name\": \"%s\", \"programs\": %d}" (json_escape o) n)
-          r.per_oracle))
-    (String.concat ",\n    " (List.map failure_to_json r.failures))
-    r.elapsed r.budget_exhausted (ok r)
+  Tmx_json.(
+    to_string
+      (Obj
+         [
+           ("experiment", Str "differential_fuzz");
+           ("seed", int r.seed);
+           ("jobs", int r.jobs);
+           ("generated", int r.generated);
+           ("corpus_replayed", int r.corpus_replayed);
+           ("crashes_replayed", int r.crashes_replayed);
+           ("corpus_skipped", int r.corpus_skipped);
+           ("corpus_deduped", int r.corpus_deduped);
+           ( "skipped_files",
+             Arr
+               (List.map
+                  (fun (file, msg) -> Obj [ ("file", Str file); ("error", Str msg) ])
+                  r.skipped_files) );
+           ("checks", int r.checks);
+           ( "oracles",
+             Arr
+               (List.map
+                  (fun (o, n) -> Obj [ ("name", Str o); ("programs", int n) ])
+                  r.per_oracle) );
+           ("failures", Arr (List.map failure_to_json r.failures));
+           ("elapsed_s", Num r.elapsed);
+           ("budget_exhausted", Bool r.budget_exhausted);
+           ("ok", Bool (ok r));
+         ]))

@@ -1,10 +1,11 @@
-(** A minimal JSON codec for the cache's on-disk entries and the
-    serve/client wire protocol.
+(** The project's one JSON codec: the cache's on-disk entries, the
+    serve/client wire protocol, the lint/SARIF/repair/fuzz reports and
+    every [BENCH_*.json] witness (written here, read back by
+    [bench/compare.ml]).
 
     Self-contained by design — the project deliberately avoids external
-    runtime dependencies (cf. [bench/compare.ml], which carries its own
-    reader for the same reason).  Numbers are parsed as floats, which is
-    exact for every integer the service produces (well below 2{^53}). *)
+    runtime dependencies.  Numbers are parsed as floats, which is exact
+    for every integer the program produces (well below 2{^53}). *)
 
 type t =
   | Null
@@ -19,7 +20,10 @@ val of_string : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact single-line rendering (objects keep field order); the
-    NDJSON framing relies on the absence of raw newlines. *)
+    NDJSON framing relies on the absence of raw newlines.  A number
+    prints without a fraction when it is an integer below 10{^15}, else
+    with 17 significant digits, so every finite float reads back
+    exactly. *)
 
 (** {1 Builders} *)
 

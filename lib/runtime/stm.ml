@@ -107,10 +107,14 @@ let latency_bounds_ns = [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000 |]
 let retry_counts = acell_array (Array.length retry_bounds + 1)
 let latency_counts = acell_array (Array.length latency_bounds_ns + 1)
 
-let observe bounds counts v =
-  let n = Array.length bounds in
-  let rec bucket i = if i >= n || v <= bounds.(i) then i else bucket (i + 1) in
-  Atomic.incr counts.(bucket 0)
+let bucket bounds v =
+  let i = ref 0 in
+  while !i < Array.length bounds && v > bounds.(!i) do
+    incr i
+  done;
+  !i
+
+let observe bounds counts v = Atomic.incr counts.(bucket bounds v)
 
 type mode_stats = {
   commits : int;
@@ -180,18 +184,9 @@ let stats_snapshot () =
     total (fun m -> m.validation_aborts + m.lock_aborts),
     total (fun m -> m.user_aborts) )
 
-let pp_mode_stats ppf m =
-  Fmt.pf ppf "commits:%d aborts:{validation:%d lock:%d user:%d}" m.commits
-    m.validation_aborts m.lock_aborts m.user_aborts
-
-let pp_histogram ppf h =
-  let n = Array.length h.bounds in
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Fmt.sp ppf ();
-      if i < n then Fmt.pf ppf "<=%d:%d" h.bounds.(i) c
-      else Fmt.pf ppf ">%d:%d" h.bounds.(n - 1) c)
-    h.counts
+let histogram_to_json h =
+  let ints a = Tmx_json.Arr (Array.to_list (Array.map Tmx_json.int a)) in
+  Tmx_json.Obj [ ("bounds", ints h.bounds); ("counts", ints h.counts) ]
 
 (* --- transactions ---------------------------------------------------- *)
 

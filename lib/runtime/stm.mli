@@ -118,6 +118,16 @@ type histogram = {
           is the overflow bucket *)
 }
 
+val bucket : int array -> int -> int
+(** [bucket bounds v] is the index of the {!histogram} bucket [v] lands
+    in: the first [i] with [v <= bounds.(i)], else [Array.length bounds]
+    (the overflow bucket).  The one bucket rule of every histogram the
+    program records. *)
+
+val histogram_to_json : histogram -> Tmx_json.t
+(** [{"bounds": [...], "counts": [...]}], the one JSON rendering of a
+    histogram ([BENCH_stm.json] runs, the serve [stats] verb). *)
+
 type snapshot = {
   lazy_stats : mode_stats;
   eager_stats : mode_stats;
@@ -146,9 +156,6 @@ val reset_stats : unit -> unit
 val stats_snapshot : unit -> int * int * int
 (** Legacy projection: total (commits, conflict aborts, user aborts)
     summed over all modes. *)
-
-val pp_mode_stats : Format.formatter -> mode_stats -> unit
-val pp_histogram : Format.formatter -> histogram -> unit
 
 (**/**)
 

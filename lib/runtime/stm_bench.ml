@@ -433,42 +433,39 @@ let pp_arch_cost ppf c =
 
 (* The BENCH_arch.json document: the measured penalty runs plus the
    machine-checked §6 claims the caller obtained from the arch table
-   sweep (tmx arch table --all --check); claims values are raw JSON. *)
+   sweep (tmx arch table --all --check). *)
 let arch_json ?(claims = []) (config : config) costs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"experiment\": \"arch_fence_penalty\",\n  \"domains\": %d,\n\
-       \  \"iters_per_domain\": %d,\n" config.domains
-       (config.iters * 25 * config.domains));
-  if claims <> [] then begin
-    Buffer.add_string buf "  \"claims\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Printf.sprintf "%S: %s" k v))
-      claims;
-    Buffer.add_string buf "},\n"
-  end;
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"arch\": %S, \"workload\": %S, \"mode\": %S,\n\
-           \     \"baseline_per_sec\": %.1f, \"fenced_per_sec\": %.1f, \
-            \"penalty\": %.4f}"
-           c.arch c.workload c.mode c.baseline_per_sec c.fenced_per_sec
-           (arch_penalty c)))
-    costs;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let run c =
+    Tmx_json.(
+      Obj
+        [
+          ("arch", Str c.arch);
+          ("workload", Str c.workload);
+          ("mode", Str c.mode);
+          ("baseline_per_sec", Num c.baseline_per_sec);
+          ("fenced_per_sec", Num c.fenced_per_sec);
+          ("penalty", Num (arch_penalty c));
+        ])
+  in
+  Tmx_json.(
+    to_string
+      (Obj
+         ([
+            ("experiment", Str "arch_fence_penalty");
+            ("domains", int config.domains);
+            ("iters_per_domain", int (config.iters * 25 * config.domains));
+          ]
+         @ (if claims = [] then [] else [ ("claims", Obj claims) ])
+         @ [ ("runs", Arr (List.map run costs)) ])))
+
+let write_file file text =
+  let oc = open_out file in
+  output_string oc text;
+  output_char oc '\n';
+  close_out oc
 
 let write_arch_json ?claims ~file config costs =
-  let oc = open_out file in
-  output_string oc (arch_json ?claims config costs);
-  close_out oc
+  write_file file (arch_json ?claims config costs)
 
 let pp_fence_cost ppf (c : fence_cost) =
   Fmt.pf ppf
@@ -487,63 +484,52 @@ let pp_result ppf r =
     r.seconds
     (float_of_int commits /. Float.max r.seconds 1e-9)
 
-let json_histogram buf name (h : Stm.histogram) =
-  let ints a =
-    String.concat ", " (Array.to_list (Array.map string_of_int a))
-  in
-  Buffer.add_string buf
-    (Printf.sprintf {|"%s": {"bounds": [%s], "counts": [%s]}|} name
-       (ints h.bounds) (ints h.counts))
-
 let to_json ?(repair_cost = []) (config : config) results =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"experiment\": \"stm_runtime_contention\",\n  \"domains\": %d,\n\
-       \  \"iters_per_domain\": %d,\n" config.domains config.iters);
-  if repair_cost <> [] then begin
-    Buffer.add_string buf "  \"repair_cost\": [\n";
-    List.iteri
-      (fun i (c : fence_cost) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"workload\": %S, \"mode\": %S, \"policy\": %S, \
-              \"fences\": %d,\n\
-             \     \"fenced_per_sec\": %.1f, \"unfenced_per_sec\": %.1f, \
-              \"fence_overhead\": %.4f}"
-             c.workload c.mode c.policy c.fences c.fenced_per_sec
-             c.unfenced_per_sec (fence_overhead c)))
-      repair_cost;
-    Buffer.add_string buf "\n  ],\n"
-  end;
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      let commits, v, l, u = totals r.snapshot in
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"mode\": %S, \"policy\": %S,\n\
-           \     \"ops\": %d, \"seconds\": %.6f, \"commits_per_sec\": %.1f,\n\
-           \     \"commits\": %d, \"aborts\": {\"validation\": %d, \"lock\": \
-            %d, \"user\": %d},\n\
-           \     \"abort_rate\": %.4f, \"partial_aborts\": %d,\n\
-           \     \"quiesces\": %d, \"escalations\": %d,\n     " r.workload
-           r.mode r.policy r.ops r.seconds
-           (float_of_int commits /. Float.max r.seconds 1e-9)
-           commits v l u (abort_rate r.snapshot) r.snapshot.partial_aborts
-           r.snapshot.quiesces r.snapshot.escalations);
-      json_histogram buf "retry_histogram" r.snapshot.retry_hist;
-      Buffer.add_string buf ",\n     ";
-      json_histogram buf "commit_latency_ns_histogram"
-        r.snapshot.latency_hist_ns;
-      Buffer.add_string buf "}")
-    results;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let fence_cost (c : fence_cost) =
+    Tmx_json.(
+      Obj
+        [
+          ("workload", Str c.workload);
+          ("mode", Str c.mode);
+          ("policy", Str c.policy);
+          ("fences", int c.fences);
+          ("fenced_per_sec", Num c.fenced_per_sec);
+          ("unfenced_per_sec", Num c.unfenced_per_sec);
+          ("fence_overhead", Num (fence_overhead c));
+        ])
+  in
+  let run r =
+    let commits, v, l, u = totals r.snapshot in
+    Tmx_json.(
+      Obj
+        [
+          ("workload", Str r.workload);
+          ("mode", Str r.mode);
+          ("policy", Str r.policy);
+          ("ops", int r.ops);
+          ("seconds", Num r.seconds);
+          ("commits_per_sec", Num (float_of_int commits /. Float.max r.seconds 1e-9));
+          ("commits", int commits);
+          ("aborts", Obj [ ("validation", int v); ("lock", int l); ("user", int u) ]);
+          ("abort_rate", Num (abort_rate r.snapshot));
+          ("partial_aborts", int r.snapshot.partial_aborts);
+          ("quiesces", int r.snapshot.quiesces);
+          ("escalations", int r.snapshot.escalations);
+          ("retry_histogram", Stm.histogram_to_json r.snapshot.retry_hist);
+          ("commit_latency_ns_histogram", Stm.histogram_to_json r.snapshot.latency_hist_ns);
+        ])
+  in
+  Tmx_json.(
+    to_string
+      (Obj
+         ([
+            ("experiment", Str "stm_runtime_contention");
+            ("domains", int config.domains);
+            ("iters_per_domain", int config.iters);
+          ]
+         @ (if repair_cost = [] then []
+            else [ ("repair_cost", Arr (List.map fence_cost repair_cost)) ])
+         @ [ ("runs", Arr (List.map run results)) ])))
 
 let write_json ?repair_cost ~file config results =
-  let oc = open_out file in
-  output_string oc (to_json ?repair_cost config results);
-  close_out oc
+  write_file file (to_json ?repair_cost config results)

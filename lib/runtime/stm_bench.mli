@@ -90,14 +90,13 @@ val arch_fence_cost : config -> arch_cost list
 val pp_arch_cost : Format.formatter -> arch_cost -> unit
 
 val arch_json :
-  ?claims:(string * string) list -> config -> arch_cost list -> string
+  ?claims:(string * Tmx_json.t) list -> config -> arch_cost list -> string
 (** The BENCH_arch.json document ([experiment: "arch_fence_penalty"];
-    schema in EXPERIMENTS.md).  [claims] are raw-JSON key/value pairs
-    recording the machine-checked §6 facts the caller obtained from the
-    arch table sweep. *)
+    schema in EXPERIMENTS.md).  [claims] are the machine-checked §6
+    facts the caller obtained from the arch table sweep. *)
 
 val write_arch_json :
-  ?claims:(string * string) list ->
+  ?claims:(string * Tmx_json.t) list ->
   file:string ->
   config ->
   arch_cost list ->

@@ -274,7 +274,9 @@ let default_dir () =
   | Some d when d <> "" -> d
   | _ -> ".tmx-cache"
 
-let ensure_dir d = if not (Sys.file_exists d) then Unix.mkdir d 0o755
+(* shard processes create the same directories at the same time:
+   losing that race to a sibling is success *)
+let ensure_dir d = try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
 let shard_dir_name i = Printf.sprintf "shard-%02d" i
 

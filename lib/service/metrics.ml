@@ -1,8 +1,7 @@
-(* Per-verb request counters and latency histograms.  The histogram
-   convention matches Tmx_runtime.Stm: a value v lands in the first
-   bucket with v <= bounds.(i); the extra last bucket is the overflow. *)
+(* Per-verb request counters and latency histograms, the runtime's
+   histogram type, bucket rule and JSON rendering. *)
 
-type histogram = { bounds : int array; counts : int array }
+module Stm = Tmx_runtime.Stm
 
 (* 100us .. 1s, then overflow — enumeration requests span this range *)
 let latency_bounds_ns =
@@ -47,18 +46,13 @@ let cell t verb =
   | Some c -> c
   | None -> List.assoc "other" t.cells
 
-let observe counts v =
-  let n = Array.length latency_bounds_ns in
-  let rec bucket i = if i >= n || v <= latency_bounds_ns.(i) then i else bucket (i + 1) in
-  let b = bucket 0 in
-  counts.(b) <- counts.(b) + 1
-
 let record t ~verb ~ok ~latency_ns =
   Mutex.lock t.lock;
   let c = cell t verb in
   c.requests <- c.requests + 1;
   if not ok then c.errors <- c.errors + 1;
-  observe c.lat_counts latency_ns;
+  let b = Stm.bucket latency_bounds_ns latency_ns in
+  c.lat_counts.(b) <- c.lat_counts.(b) + 1;
   Mutex.unlock t.lock
 
 let deadline_exceeded t =
@@ -71,7 +65,7 @@ let decr_inflight t = Atomic.decr t.in_flight
 let inflight t = Atomic.get t.in_flight
 let shed t = Atomic.incr t.sheds
 
-type verb_stats = { requests : int; errors : int; latency_ns : histogram }
+type verb_stats = { requests : int; errors : int; latency_ns : Stm.histogram }
 
 type snapshot = {
   per_verb : (string * verb_stats) list;
@@ -92,7 +86,7 @@ let snapshot t =
             requests = c.requests;
             errors = c.errors;
             latency_ns =
-              { bounds = latency_bounds_ns; counts = Array.copy c.lat_counts };
+              { Stm.bounds = latency_bounds_ns; counts = Array.copy c.lat_counts };
           } ))
       t.cells
   in
@@ -109,13 +103,6 @@ let snapshot t =
   in
   Mutex.unlock t.lock;
   snap
-
-let histogram_to_json h =
-  Json.Obj
-    [
-      ("bounds", Json.Arr (Array.to_list (Array.map Json.int h.bounds)));
-      ("counts", Json.Arr (Array.to_list (Array.map Json.int h.counts)));
-    ]
 
 let snapshot_to_json s =
   Json.Obj
@@ -137,7 +124,7 @@ let snapshot_to_json s =
                        [
                          ("requests", Json.int st.requests);
                          ("errors", Json.int st.errors);
-                         ("latency_ns", histogram_to_json st.latency_ns);
+                         ("latency_ns", Stm.histogram_to_json st.latency_ns);
                        ] ))
              s.per_verb) );
     ]

@@ -1,14 +1,6 @@
 (** Server-side observability: per-verb request counters and latency
-    histograms, plus the live queue depth.
-
-    The histogram is the same shape as [Tmx_runtime.Stm.stats]'s
-    ([bounds] with an extra overflow bucket in [counts]; a value [v]
-    lands in the first bucket with [v <= bounds.(i)]), so the two
-    subsystems render and regress identically. *)
-
-type histogram = { bounds : int array; counts : int array }
-(** [counts] has [Array.length bounds + 1] entries; the last is the
-    overflow bucket. *)
+    histograms ({!Tmx_runtime.Stm.histogram}), plus the live queue
+    depth. *)
 
 type t
 
@@ -25,7 +17,11 @@ val inflight : t -> int
 val shed : t -> unit
 (** Count one request refused by admission control. *)
 
-type verb_stats = { requests : int; errors : int; latency_ns : histogram }
+type verb_stats = {
+  requests : int;
+  errors : int;
+  latency_ns : Tmx_runtime.Stm.histogram;
+}
 
 type snapshot = {
   per_verb : (string * verb_stats) list;  (** in {!verbs} order *)

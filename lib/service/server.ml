@@ -52,19 +52,20 @@ let default_config ~socket =
 (* -- listeners -------------------------------------------------------------- *)
 
 type listener = {
-  l_unix : (Unix.file_descr * string) option;
+  l_unix : (Unix.file_descr * string * (int * int)) option;
+      (* fd, path, (device, inode) of the socket file bound at path *)
   l_tcp : (Unix.file_descr * string * int) option;  (* fd, host, bound port *)
 }
 
 let listen_fds l =
   List.filter_map Fun.id
     [
-      Option.map (fun (fd, _) -> fd) l.l_unix;
+      Option.map (fun (fd, _, _) -> fd) l.l_unix;
       Option.map (fun (fd, _, _) -> fd) l.l_tcp;
     ]
 
 let addresses l =
-  (match l.l_unix with Some (_, p) -> [ "unix:" ^ p ] | None -> [])
+  (match l.l_unix with Some (_, p, _) -> [ "unix:" ^ p ] | None -> [])
   @
   match l.l_tcp with
   | Some (_, h, p) -> [ Printf.sprintf "tcp:%s:%d" h p ]
@@ -83,8 +84,18 @@ let resolve_host host =
       | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
       | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
 
+(* The socket file goes only while it is still the one this listener
+   bound: a daemon started on the same path while this one was draining
+   has replaced it, and must keep it. *)
 let close_listener l =
-  Option.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) l.l_unix;
+  Option.iter
+    (fun (fd, path, id) ->
+      (try Unix.close fd with _ -> ());
+      match Unix.stat path with
+      | st when (st.Unix.st_dev, st.Unix.st_ino) = id -> (
+          try Unix.unlink path with _ -> ())
+      | _ | (exception Unix.Unix_error _) -> ())
+    l.l_unix;
   Option.iter (fun (fd, _, _) -> try Unix.close fd with _ -> ()) l.l_tcp
 
 let listen cfg =
@@ -104,7 +115,8 @@ let listen cfg =
          with e ->
            (try Unix.close fd with _ -> ());
            raise e);
-        (fd, path))
+        let st = Unix.stat path in
+        (fd, path, (st.Unix.st_dev, st.Unix.st_ino)))
       cfg.socket
   in
   match
@@ -129,7 +141,7 @@ let listen cfg =
   with
   | l_tcp -> { l_unix; l_tcp }
   | exception e ->
-      Option.iter (fun (fd, _) -> try Unix.close fd with _ -> ()) l_unix;
+      Option.iter (fun (fd, _, _) -> try Unix.close fd with _ -> ()) l_unix;
       raise e
 
 type t = {
@@ -587,11 +599,7 @@ let stop t =
     (* workers poll the flag from the select/read timeouts; no wakeup
        connection needed *)
     List.iter Domain.join t.domains;
-    if t.owns_listener then (
-      close_listener t.listener;
-      Option.iter
-        (fun (_, path) -> try Unix.unlink path with _ -> ())
-        t.listener.l_unix);
+    if t.owns_listener then close_listener t.listener;
     log t "stopped")
 
 let wait t =

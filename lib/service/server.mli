@@ -76,7 +76,8 @@ val tcp_port : listener -> int option
 (** The bound TCP port, when a TCP transport is configured. *)
 
 val close_listener : listener -> unit
-(** Close the listening fds (does not unlink the Unix socket path). *)
+(** Close the listening fds and unlink the Unix socket path, unless
+    another listener has bound a new socket there since. *)
 
 (** {1 Lifecycle} *)
 

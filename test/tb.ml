@@ -42,6 +42,26 @@ let qcheck test =
         Fmt.epr "property failed; reproduce with TMX_SEED=%d@." qcheck_seed;
         raise e )
 
+(* A writer's output parsed back with the project codec; [field k j] is
+   member [k] of object [j], [items j] the elements of array [j].  They
+   fail the test instead of returning an option. *)
+let json = Alcotest.testable (Fmt.of_to_string Tmx_json.to_string) ( = )
+
+let parse_json what s =
+  match Tmx_json.of_string s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s does not parse: %s@.%s" what e s
+
+let field k j =
+  match Tmx_json.mem k j with
+  | Some v -> v
+  | None -> Alcotest.failf "no field %S in %s" k (Tmx_json.to_string j)
+
+let items j =
+  match Tmx_json.to_list j with
+  | Some vs -> vs
+  | None -> Alcotest.failf "not an array: %s" (Tmx_json.to_string j)
+
 let check_consistent model trace expected =
   let report = Consistency.check model trace in
   Alcotest.(check bool)

@@ -307,18 +307,37 @@ let test_guard_dominance () =
   Alcotest.(check bool) "loops disable guard dominance" false
     (Lint.race_free (Lint.lint looped))
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let test_json () =
-  let j = Lint.to_json (Lint.lint (find "privatization")) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json mentions " ^ needle) true
-        (contains_sub j needle))
-    [ "\"race_free\": false"; "\"class\": \"mixed\""; "\"severity\": \"low\"" ]
+  let j = Tb.parse_json "Lint.to_json" (Lint.to_json (Lint.lint (find "privatization"))) in
+  Alcotest.check Tb.json "race_free" (Tmx_json.Bool false) (Tb.field "race_free" j);
+  let x =
+    List.find (fun l -> Tb.field "name" l = Tmx_json.Str "x") (Tb.items (Tb.field "locations" j))
+  in
+  Alcotest.check Tb.json "x's class" (Tmx_json.Str "mixed") (Tb.field "class" x);
+  match Tb.items (Tb.field "findings" j) with
+  | [ f ] -> Alcotest.check Tb.json "severity" (Tmx_json.Str "low") (Tb.field "severity" f)
+  | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
+
+(* one SARIF result per finding, across every report of the catalog *)
+let test_sarif () =
+  let reports = List.map Lint.lint catalog_programs in
+  let log = Tb.parse_json "Lint.sarif_of_reports" (Lint.sarif_of_reports reports) in
+  Alcotest.check Tb.json "version" (Tmx_json.Str "2.1.0") (Tb.field "version" log);
+  let results =
+    match Tb.items (Tb.field "runs" log) with
+    | [ run ] -> Tb.items (Tb.field "results" run)
+    | runs -> Alcotest.failf "expected one run, got %d" (List.length runs)
+  in
+  let findings = List.concat_map (fun (r : Lint.report) -> r.findings) reports in
+  Alcotest.(check int) "one result per finding" (List.length findings) (List.length results);
+  List.iter2
+    (fun (f : Lint.finding) res ->
+      Alcotest.check Tb.json "ruleId"
+        (Tmx_json.Str (match f.kind with Lint.Mixed_race -> "mixed-race" | L_race -> "l-race"))
+        (Tb.field "ruleId" res);
+      Alcotest.(check int) "two logical locations" 2
+        (List.length (Tb.items (Tb.field "locations" res))))
+    findings results
 
 (* the tentpole's performance contract: no enumeration on the lint path,
    so linting the entire catalog is far under a second *)
@@ -512,6 +531,7 @@ let suite =
     Alcotest.test_case "lint race-free programs" `Quick test_lint_race_free;
     Alcotest.test_case "guard dominance excludes" `Quick test_guard_dominance;
     Alcotest.test_case "json output" `Quick test_json;
+    Alcotest.test_case "sarif output" `Quick test_sarif;
     Alcotest.test_case "lint has no enumeration cost" `Quick test_lint_is_fast;
   ]
 

@@ -9,6 +9,7 @@ open Tmx_lang
 module Gen = Tmx_fuzz.Gen
 module Shrink = Tmx_fuzz.Shrink
 module Oracle = Tmx_fuzz.Oracle
+module Runner = Tmx_fuzz.Runner
 
 let presets = [ ("theorems", Gen.theorems); ("analysis", Gen.analysis); ("mixed", Gen.mixed) ]
 
@@ -97,6 +98,45 @@ let test_minimized_still_fails () =
     (programs Gen.mixed ~seed:1 40);
   Alcotest.(check bool) "some mixed programs generated" true (!checked > 5)
 
+(* the --json report of a failing campaign parses, and carries each
+   failure's programs and a skipped file's error verbatim *)
+let test_report_json () =
+  let r =
+    Runner.run
+      {
+        Runner.default_options with
+        seed = 1;
+        count = 20;
+        oracles = [ Oracle.broken ];
+        corpus_dir = None;
+        crashes_dir = None;
+        max_failures = 2;
+      }
+  in
+  let r = { r with skipped_files = [ ("bad \"name\".litmus", "line 1:\tunexpected '\\'") ] } in
+  Alcotest.(check bool) "the broken oracle fails" true (r.failures <> []);
+  let j = Tb.parse_json "Runner.report_to_json" (Runner.report_to_json r) in
+  let str s = Tmx_json.Str s in
+  let check = Alcotest.check Tb.json in
+  check "experiment" (str "differential_fuzz") (Tb.field "experiment" j);
+  check "ok" (Tmx_json.Bool false) (Tb.field "ok" j);
+  (match Tb.items (Tb.field "skipped_files" j) with
+  | [ s ] -> check "skipped error" (str "line 1:\tunexpected '\\'") (Tb.field "error" s)
+  | _ -> Alcotest.fail "expected one skipped file");
+  let failures = Tb.items (Tb.field "failures" j) in
+  Alcotest.(check int) "one entry per failure" (List.length r.failures) (List.length failures);
+  List.iter2
+    (fun (f : Runner.failure) fj ->
+      check "program"
+        (str (Tmx_litmus.Export.program_to_string f.program))
+        (Tb.field "program" fj);
+      match f.minimized with
+      | Some m ->
+          check "minimized size" (Tmx_json.int (Shrink.size m))
+            (Tb.field "minimized_statements" fj)
+      | None -> check "no minimum" Tmx_json.Null (Tb.field "minimized" fj))
+    r.failures failures
+
 let test_stock_oracle_names () =
   Alcotest.(check (list string))
     "stock oracle names"
@@ -123,4 +163,5 @@ let suite =
     Alcotest.test_case "minimized programs still fail their oracle" `Quick
       test_minimized_still_fails;
     Alcotest.test_case "stock oracle registry" `Quick test_stock_oracle_names;
+    Alcotest.test_case "json report" `Quick test_report_json;
   ]

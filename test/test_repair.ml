@@ -194,6 +194,25 @@ let test_repair_goal_all () =
   Alcotest.(check bool) "goal all repairs sb" true (r.Repair.edits <> []);
   check_ok "repair-sound" (Repair.check ~config ~goal:Repair.All im r)
 
+let test_repair_json () =
+  let r = check_ok "repair" (Repair.run ~config im (find "privatization_chain")) in
+  let j = Tb.parse_json "Repair.to_json" (Repair.to_json ~model:im ~goal:Repair.Mixed r) in
+  let str s = Tmx_json.Str s in
+  Alcotest.check Tb.json "program" (str "privatization_chain") (Tb.field "program" j);
+  Alcotest.check Tb.json "model" (str im.Model.name) (Tb.field "model" j);
+  Alcotest.check Tb.json "edits" (Tmx_json.int (List.length r.edits)) (Tb.field "edits" j);
+  Alcotest.check Tb.json "edit_list"
+    (Tmx_json.Arr (List.map (fun e -> str (Fmt.str "%a" Patch.pp_edit e)) r.edits))
+    (Tb.field "edit_list" j);
+  Alcotest.check Tb.json "certificate" (str r.certificate) (Tb.field "certificate" j);
+  Alcotest.(check int) "one entry per discard" (List.length r.discards)
+    (List.length (Tb.items (Tb.field "discards" j)));
+  let msg = "no \"repair\" \xe2\x80\x94 \x01 within budget" in
+  let e =
+    Tb.parse_json "Repair.error_to_json" (Repair.error_to_json ~program:(find "sb") msg)
+  in
+  Alcotest.check Tb.json "error message survives escaping" (str msg) (Tb.field "error" e)
+
 (* -- the Insert_fence property (satellite) ------------------------------------ *)
 
 (* Identify the finding across the edit.  Inserting k fences
@@ -322,6 +341,7 @@ let suite =
     Alcotest.test_case "certificates are deterministic" `Quick
       test_certificate_deterministic;
     Alcotest.test_case "goal all vs goal mixed" `Quick test_repair_goal_all;
+    Alcotest.test_case "json output" `Quick test_repair_json;
     Alcotest.test_case "fence fixes strictly decrease severity (catalog)" `Quick
       test_fence_fix_property_catalog;
     Tb.qcheck prop_fence_fix_random;

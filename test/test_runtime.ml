@@ -415,11 +415,72 @@ let test_stats_extended () =
     s.retry_hist.counts.(0);
   Alcotest.(check int) "latency histogram counts every commit" 2
     (total s.latency_hist_ns.counts);
+  (* the bucket rule: inclusive upper bounds, then the overflow bucket *)
+  List.iter
+    (fun (v, b) ->
+      Alcotest.(check int) (Fmt.str "bucket of %d" v) b (Stm.bucket [| 0; 1; 4 |] v))
+    [ (-1, 0); (0, 0); (1, 1); (2, 2); (4, 2); (5, 3) ];
   (* the legacy triple is a projection of the same counters *)
   let c, conflicts, ua = Stm.stats_snapshot () in
   Alcotest.(check int) "legacy commits" 2 c;
   Alcotest.(check int) "legacy conflicts" 0 conflicts;
   Alcotest.(check int) "legacy user aborts" 1 ua
+
+(* --- the BENCH_stm.json writer ---------------------------------------- *)
+
+(* bench-compare reads back every run's throughput and commit ratio and
+   each repair-cost entry's keys exactly as written; each run's retry
+   histogram counts its commits *)
+let test_stm_bench_json () =
+  let config =
+    {
+      Stm_bench.domains = 1;
+      iters = 20;
+      modes = [ Stm.Lazy; Stm.Norec ];
+      policies = [ ("spin", Stm.Contention.Spin) ];
+      workloads = [ Stm_bench.Read_heavy ];
+    }
+  in
+  let results = Stm_bench.run config in
+  let cost =
+    {
+      Stm_bench.workload = "privatization-heavy";
+      mode = "lazy";
+      policy = "spin";
+      fences = 3;
+      fenced_per_sec = 900.;
+      unfenced_per_sec = 1000.;
+    }
+  in
+  let j =
+    Tb.parse_json "Stm_bench.to_json" (Stm_bench.to_json ~repair_cost:[ cost ] config results)
+  in
+  let metrics =
+    match Tmx_bench_compare.Compare.metrics_of j with Ok ms -> ms | Error e -> Alcotest.fail e
+  in
+  let check key want =
+    match List.assoc_opt key metrics with
+    | Some v -> Alcotest.(check (float 0.)) key want v
+    | None -> Alcotest.failf "bench-compare reads no %S" key
+  in
+  let commits (s : Stm.snapshot) =
+    s.lazy_stats.commits + s.eager_stats.commits + s.partial_stats.commits
+    + s.norec_stats.commits
+  in
+  List.iter2
+    (fun (r : Stm_bench.result) run ->
+      let key = Fmt.str "%s/%s/%s %s" r.workload r.mode r.policy in
+      let n = commits r.snapshot in
+      check (key "commits_per_sec") (float_of_int n /. Float.max r.seconds 1e-9);
+      check (key "commit_ratio") (1. -. Stm_bench.abort_rate r.snapshot);
+      let counts = Tb.items (Tb.field "counts" (Tb.field "retry_histogram" run)) in
+      Alcotest.(check int) "retry histogram counts every commit" n
+        (List.fold_left (fun acc c -> acc + Option.get (Tmx_json.to_int c)) 0 counts))
+    results
+    (Tb.items (Tb.field "runs" j));
+  check "repair_cost/lazy/spin fences" 3.;
+  check "repair_cost/lazy/spin fenced_per_sec" 900.;
+  check "repair_cost/lazy/spin fence_efficiency" (1. -. Stm_bench.fence_overhead cost)
 
 (* --- tracing --------------------------------------------------------- *)
 
@@ -516,6 +577,7 @@ let suite =
       (test_policy_correctness ("budget", Stm.Contention.Budget 2, Stm.Lazy));
     Alcotest.test_case "budget escalation commits" `Slow test_budget_escalation;
     Alcotest.test_case "extended stats" `Quick test_stats_extended;
+    Alcotest.test_case "stm-bench json" `Quick test_stm_bench_json;
     Alcotest.test_case "trace events" `Quick test_trace_events;
     Alcotest.test_case "trace ring wrap" `Slow test_trace_ring_wrap;
   ]

@@ -89,12 +89,47 @@ let test_json_roundtrip () =
   (match Json.of_string (Json.to_string j) with
   | Ok j' -> if j' <> j then Alcotest.fail "json round trip changed the value"
   | Error e -> Alcotest.failf "json round trip does not parse: %s" e);
+  if Json.of_string {|"\u004A\u00e9"|} <> Ok (Json.Str "J\xc3\xa9") then
+    Alcotest.fail "\\u escapes take upper- and lowercase hex digits";
   List.iter
     (fun bad ->
       match Json.of_string bad with
       | Ok _ -> Alcotest.failf "accepted malformed JSON %S" bad
       | Error _ -> ())
-    [ "{"; "[1,"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
+    [ "{"; "[1,"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; {|"\u0_41"|} ]
+
+(* of_string (to_string v) = Ok v over random values: finite numbers,
+   and strings and keys with control characters, quotes, backslashes and
+   bytes >= 0x80 *)
+let gen_json =
+  let open QCheck.Gen in
+  let text = string_size ~gen:char (0 -- 8) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map Json.bool bool;
+        map (fun f -> Json.Num f) finite;
+        map Json.int int;
+        map Json.str text;
+      ]
+  in
+  sized_size (0 -- 3)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (1, map (fun vs -> Json.Arr vs) (list_size (0 -- 4) (self (n - 1))));
+               (1, map (fun fs -> Json.Obj fs) (list_size (0 -- 4) (pair text (self (n - 1)))));
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json round trip on random values" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.of_string (Json.to_string v) = Ok v)
 
 let test_protocol_roundtrip () =
   let sub =
@@ -450,6 +485,19 @@ let test_server_end_to_end () =
   (* stop is idempotent and removes the socket *)
   Server.stop t;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket)
+
+(* closing a listener removes its socket file only while the file is
+   its own: a daemon restarted on the same path keeps its socket while
+   the old one drains *)
+let test_listener_path_ownership () =
+  let path = Fmt.str "/tmp/tmx-test-own-%d.sock" (Unix.getpid ()) in
+  let cfg = Server.default_config ~socket:path in
+  let old_daemon = Server.listen cfg in
+  let new_daemon = Server.listen cfg in
+  Server.close_listener old_daemon;
+  Alcotest.(check bool) "the new daemon's socket survives" true (Sys.file_exists path);
+  Server.close_listener new_daemon;
+  Alcotest.(check bool) "closing the owner removes it" false (Sys.file_exists path)
 
 let test_server_shutdown_verb () =
   let dir = temp_dir "shutdown" in
@@ -923,6 +971,7 @@ let suite =
     Alcotest.test_case "canon negative literals" `Quick test_canon_negative_literal;
     Alcotest.test_case "digest invariance" `Quick test_digest_invariance;
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
+    Tb.qcheck prop_json_roundtrip;
     Alcotest.test_case "protocol round trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "cache store/find round trip" `Quick test_cache_roundtrip;
     Alcotest.test_case "cache version mismatch" `Quick test_cache_version_mismatch;
@@ -938,6 +987,7 @@ let suite =
     Alcotest.test_case "server end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "server tcp transport" `Quick test_server_tcp;
     Alcotest.test_case "server shutdown verb" `Quick test_server_shutdown_verb;
+    Alcotest.test_case "restarted daemon keeps its socket" `Quick test_listener_path_ownership;
     Alcotest.test_case "admission shedding" `Slow test_admission_shedding;
     Alcotest.test_case "loadgen determinism" `Quick test_loadgen_determinism;
     Alcotest.test_case "loadgen run and shard oracle" `Slow test_loadgen_oracle;
