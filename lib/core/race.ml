@@ -31,14 +31,25 @@ let races ?l t hb =
 
 let has_race ?l t hb = races ?l t hb <> []
 
+(* An L-race is a race on a location in L (both actions access the
+   same one), so the L-races are a filter of the races at L = Loc. *)
+let restrict ?l t pairs =
+  match l with
+  | None -> pairs
+  | Some locs ->
+      List.filter
+        (fun (b, _) ->
+          match Action.loc_of (Trace.act t b) with
+          | Some x -> List.mem x locs
+          | None -> false)
+        pairs
+
 (* §5: a mixed race is an L-race between a transactional write and a
    plain write, for some L. *)
-let mixed_races t hb =
-  List.filter
-    (fun (b, c) ->
-      Action.is_write (Trace.act t b)
-      && Action.is_write (Trace.act t c)
-      && Trace.is_transactional t b <> Trace.is_transactional t c)
-    (races t hb)
+let is_mixed t (b, c) =
+  Action.is_write (Trace.act t b)
+  && Action.is_write (Trace.act t c)
+  && Trace.is_transactional t b <> Trace.is_transactional t c
 
-let has_mixed_race t hb = mixed_races t hb <> []
+let mixed_races t hb = List.filter (is_mixed t) (races t hb)
+let has_mixed_race t hb = List.exists (is_mixed t) (races t hb)

@@ -14,7 +14,17 @@ val races : ?l:string list -> Trace.t -> Rel.t -> (int * int) list
 
 val has_race : ?l:string list -> Trace.t -> Rel.t -> bool
 
+val restrict : ?l:string list -> Trace.t -> (int * int) list -> (int * int) list
+(** The pairs of a race list whose location is in [l]: on the races at
+    L = every location, [restrict ?l t (races t hb) = races ?l t hb].
+    Omitting [l] returns the list as is. *)
+
+val is_mixed : Trace.t -> int * int -> bool
+(** Is the race a mixed race (§5): a transactional write against a
+    plain write? *)
+
 val mixed_races : Trace.t -> Rel.t -> (int * int) list
-(** Races between a transactional write and a plain write (§5). *)
+(** Races between a transactional write and a plain write (§5):
+    [List.filter (is_mixed t) (races t hb)]. *)
 
 val has_mixed_race : Trace.t -> Rel.t -> bool

@@ -85,6 +85,9 @@ type result = {
   capped : bool; (* the graph-count cap was hit *)
   graphs : int; (* candidate graphs accounted for *)
   explored : int; (* candidate graphs whose leaf check actually ran *)
+  races : (int * int) list array option;
+      (* per execution, its races at L = Loc under the enumerating
+         model; only the verdict cache fills it in *)
 }
 
 (* Below this many estimated candidates, a parallel run falls back to
@@ -172,6 +175,7 @@ let run_sequential ~config ~model ~locs ~truncated combos =
     capped = !capped;
     graphs = !graphs;
     explored = !graphs;
+    races = None;
   }
 
 (* Parallel path: fan tasks — (combo, first-read choice) pairs in
@@ -232,6 +236,7 @@ let run_parallel ~config ~model ~locs ~truncated combos =
     capped = total > config.max_graphs;
     graphs = min total config.max_graphs;
     explored = min total config.max_graphs;
+    races = None;
   }
 
 (* More domains than cores only adds task-split and scheduling overhead
@@ -411,6 +416,7 @@ let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
     capped = !prefix > config.max_graphs;
     graphs = min !prefix config.max_graphs;
     explored;
+    races = None;
   }
 
 (* The shared front half of [run], also the entry point of the

@@ -79,6 +79,13 @@ type result = {
           [graphs] without reduction; under reduction, candidates pruned
           in bulk (doomed prefixes, symmetric images) are counted in
           [graphs] but not here — the ratio is the reduction's win. *)
+  races : (int * int) list array option;
+      (** per execution, in [executions] order: its races at L = every
+          location ({!Tmx_core.Race.races}) under the model that was
+          enumerated.  {!run} leaves it [None]; the verdict cache
+          ([Tmx_service.Cache]) returns [Some] of the pairs it stores, so
+          a race check reads them ({!Tmx_core.Race.restrict},
+          {!Tmx_core.Race.is_mixed}) instead of deriving hb again. *)
 }
 
 val unfold_combos :

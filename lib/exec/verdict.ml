@@ -60,10 +60,11 @@ let race_witness ?config ?l ?(mixed_only = false) model program =
   let result = Enumerate.run ?config model program in
   List.find_map
     (fun (e : Enumerate.execution) ->
-      let ctx = Lift.make e.trace in
-      let hb = Hb.compute model ctx in
-      let mixed = Race.mixed_races e.trace hb in
-      let pairs = if mixed_only then mixed else Race.races ?l e.trace hb in
+      let races = execution_races model e.trace in
+      let pairs =
+        if mixed_only then List.filter (Race.is_mixed e.trace) races
+        else Race.restrict ?l e.trace races
+      in
       match pairs with
       | [] -> None
       | (b, c) :: _ ->
@@ -72,7 +73,7 @@ let race_witness ?config ?l ?(mixed_only = false) model program =
               outcome = e.outcome;
               loc = Action.loc_of (Trace.act e.trace b);
               threads = (Trace.thread e.trace b, Trace.thread e.trace c);
-              mixed = List.mem (b, c) mixed;
+              mixed = Race.is_mixed e.trace (b, c);
             })
     result.executions
 

@@ -2,6 +2,13 @@
    expectations — outcome verdicts (allowed/forbidden under a model),
    per-execution race-freedom claims, and mixed-race claims.
 
+   Race and mixed-race checks are filters of one execution's races at
+   L = Loc: an L-race is a race on a location in L (Race.restrict), a
+   mixed race one between a transactional and a plain write
+   (Race.is_mixed).  When the enumeration comes from the verdict cache
+   it carries those races ([Enumerate.result.races]) and the checks read
+   them; otherwise each execution's hb is derived here.
+
    The catalog of the paper's examples lives in [Catalog]. *)
 
 open Tmx_core
@@ -112,6 +119,14 @@ type report = {
 
 let passed report = List.for_all (fun r -> r.ok) report.results
 
+(* The races at L = Loc of execution [i] of [result] under [model]: the
+   pairs the verdict cache stored with the enumeration, when it came
+   from the cache; else derived from the trace's hb. *)
+let races_of model (result : Enumerate.result) i (e : Enumerate.execution) =
+  match result.races with
+  | Some races -> races.(i)
+  | None -> Verdict.execution_races model e.trace
+
 let run ?(config = Enumerate.default_config)
     ?(enumerate = fun ~config m p -> Enumerate.run ~config m p) litmus =
   (* enumerate once per distinct model *)
@@ -155,40 +170,36 @@ let run ?(config = Enumerate.default_config)
               (if exists then "present" else "absent");
         }
     | Race_check { cond; l; expect; _ } ->
-        let matching =
-          List.filter
-            (fun (e : Enumerate.execution) ->
-              match cond with None -> true | Some c -> c e.outcome)
-            result.executions
+        let matches (e : Enumerate.execution) =
+          match cond with None -> true | Some c -> c e.outcome
         in
-        let racy_count =
-          List.length
-            (List.filter
-               (fun (e : Enumerate.execution) ->
-                 Verdict.execution_races ?l model e.trace <> [])
-               matching)
-        in
+        let matching = ref 0 and racy_count = ref 0 in
+        List.iteri
+          (fun i e ->
+            if matches e then begin
+              incr matching;
+              if Race.restrict ?l e.trace (races_of model result i e) <> [] then
+                incr racy_count
+            end)
+          result.executions;
         let ok =
           match expect with
-          | `All_race_free -> racy_count = 0 && matching <> []
-          | `Some_racy -> racy_count > 0
+          | `All_race_free -> !racy_count = 0 && !matching > 0
+          | `Some_racy -> !racy_count > 0
         in
         {
           check;
           ok;
-          detail =
-            Fmt.str "%d/%d matching executions racy" racy_count
-              (List.length matching);
+          detail = Fmt.str "%d/%d matching executions racy" !racy_count !matching;
         }
     | Mixed_race_check { expect; _ } ->
-        let has =
-          List.exists
-            (fun (e : Enumerate.execution) ->
-              let ctx = Lift.make e.trace in
-              let hb = Hb.compute model ctx in
-              Race.has_mixed_race e.trace hb)
-            result.executions
+        let rec mixed i = function
+          | [] -> false
+          | (e : Enumerate.execution) :: rest ->
+              List.exists (Race.is_mixed e.trace) (races_of model result i e)
+              || mixed (i + 1) rest
         in
+        let has = mixed 0 result.executions in
         { check; ok = has = expect; detail = Fmt.str "mixed race: %b" has }
   in
   let results = List.map run_check litmus.checks in

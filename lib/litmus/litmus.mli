@@ -80,6 +80,8 @@ val run :
     to serve enumerations from the verdict cache (`tmx litmus --cache`)
     without this library depending on the service layer.  Any
     replacement must be extensionally equal to [Enumerate.run] — the
-    report is trusted downstream. *)
+    report is trusted downstream — except that it may fill in
+    [Enumerate.result.races]: race and mixed-race checks then read each
+    execution's races from there instead of deriving its hb. *)
 
 val pp_report : report Fmt.t

@@ -35,13 +35,12 @@ let compute ~config model program =
   let mixed = Array.make n false in
   List.iteri
     (fun i (e : Enumerate.execution) ->
-      let hb = Hb.compute model (Lift.make e.trace) in
-      races.(i) <- Race.races e.trace hb;
-      mixed.(i) <- Race.has_mixed_race e.trace hb)
+      races.(i) <- Race.races e.trace (Hb.compute model (Lift.make e.trace));
+      mixed.(i) <- List.exists (Race.is_mixed e.trace) races.(i))
     result.executions;
   let lint = Tmx_analysis.Lint.lint program in
   {
-    result;
+    result = { result with races = Some races };
     races;
     mixed;
     lint_race_free = Tmx_analysis.Lint.race_free lint;
@@ -214,6 +213,7 @@ let verdict_of_json j =
   let parsed =
     List.map execution_of_json (get (Json.to_list (get (Json.mem "executions" j))))
   in
+  let races = Array.of_list (List.map (fun ((_, r), _) -> r) parsed) in
   let lint = get (Json.mem "lint" j) in
   {
     result =
@@ -228,8 +228,9 @@ let verdict_of_json j =
           (match Json.mem "explored" j with
           | Some x -> get (Json.to_int x)
           | None -> get (Json.to_int (get (Json.mem "graphs" j))));
+        races = Some races;
       };
-    races = Array.of_list (List.map (fun ((_, r), _) -> r) parsed);
+    races;
     mixed = Array.of_list (List.map (fun (_, m) -> m) parsed);
     lint_race_free = get (Json.to_bool (get (Json.mem "race_free" lint)));
     lint_findings = get (Json.to_int (get (Json.mem "findings" lint)));
@@ -369,31 +370,41 @@ let lru_insert (s : shard) k v =
   incr s.tick;
   Hashtbl.replace s.lru k (v, ref !(s.tick))
 
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* An entry's text, or [None] when there is no entry.  The open is the
+   existence test: a stat before it would cost every lookup a system
+   call, and an entry removed in between (by a concurrent [tmx cache gc]
+   or [clear]) would count as a load failure instead of a miss.  Any
+   other failure raises. *)
+let read_entry path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+  | fd ->
+      let ic = Unix.in_channel_of_descr fd in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> Some (really_input_string ic (in_channel_length ic)))
 
 (* Everything that can go wrong reading an entry — absent, torn,
-   garbage, wrong shape, wrong version — lands in one of the three
+   garbage, wrong shape, another version — lands in one of the four
    constructors; no exception escapes. *)
-let load_disk t path =
-  if not (Sys.file_exists path) then `Absent
-  else
-    match Json.of_string (load_file path) with
-    | exception _ -> `Corrupt
-    | Error _ -> `Corrupt
-    | Ok j -> (
-        match Json.to_str (Option.value ~default:Json.Null (Json.mem "format" j)) with
-        | Some v when v = t.version -> (
-            match verdict_of_json j with
-            | v -> `Found v
-            | exception _ -> `Corrupt)
-        | _ -> `Corrupt)
+let decode ~version path =
+  match read_entry path with
+  | exception _ -> `Corrupt
+  | None -> `Absent
+  | Some text -> (
+      match Json.of_string text with
+      | exception _ -> `Corrupt
+      | Error _ -> `Corrupt
+      | Ok j -> (
+          match Json.to_str (Option.value ~default:Json.Null (Json.mem "format" j)) with
+          | Some v when v = version -> (
+              match verdict_of_json j with
+              | v -> `Found v
+              | exception _ -> `Corrupt)
+          | Some _ -> `Stale
+          | None -> `Corrupt))
 
-let find t ~config model program =
-  let k = key t ~config model program in
+let find_key t k =
   let s = shard_of_key t k in
   let in_lru =
     locked s (fun () ->
@@ -409,7 +420,7 @@ let find t ~config model program =
   | Some v -> Some v
   | None -> (
       (* disk I/O outside the lock; a racing duplicate load is benign *)
-      match load_disk t (entry_path t k) with
+      match decode ~version:t.version (entry_path t k) with
       | `Found v ->
           locked s (fun () ->
               s.hits <- s.hits + 1;
@@ -418,16 +429,17 @@ let find t ~config model program =
       | `Absent ->
           locked s (fun () -> s.misses <- s.misses + 1);
           None
-      | `Corrupt ->
+      | `Stale | `Corrupt ->
           locked s (fun () ->
               s.misses <- s.misses + 1;
               s.load_failures <- s.load_failures + 1);
           None)
 
+let find t ~config model program = find_key t (key t ~config model program)
+
 let tmp_counter = Atomic.make 0
 
-let store t ~config model program v =
-  let k = key t ~config model program in
+let store_key t ~config model k v =
   let s = shard_of_key t k in
   let path = entry_path t k in
   let body =
@@ -457,12 +469,17 @@ let store t ~config model program v =
       s.st_stores <- s.st_stores + 1;
       lru_insert s k v)
 
+let store t ~config model program v =
+  store_key t ~config model (key t ~config model program) v
+
+(* one key per lookup: a miss stores under the key it missed *)
 let memo t ~config model program =
-  match find t ~config model program with
+  let k = key t ~config model program in
+  match find_key t k with
   | Some v -> (v, `Hit)
   | None ->
       let v = compute ~config model program in
-      store t ~config model program v;
+      store_key t ~config model k v;
       (v, `Miss)
 
 let memo_run t ~config model program =
@@ -519,18 +536,12 @@ let entry_files dir =
     in
     List.concat_map entries_in (dir :: shard_dirs) |> List.sort String.compare
 
+(* an entry listed but gone by the time it is read counts as corrupt *)
 let classify ~version path =
-  match Json.of_string (load_file path) with
-  | exception _ -> `Corrupt
-  | Error _ -> `Corrupt
-  | Ok j -> (
-      match Json.to_str (Option.value ~default:Json.Null (Json.mem "format" j)) with
-      | Some v when v = version -> (
-          match verdict_of_json j with
-          | _ -> `Current
-          | exception _ -> `Corrupt)
-      | Some _ -> `Stale
-      | None -> `Corrupt)
+  match decode ~version path with
+  | `Found _ -> `Current
+  | `Stale -> `Stale
+  | `Absent | `Corrupt -> `Corrupt
 
 let disk_stats ?(version = format_version) ~dir () =
   List.fold_left

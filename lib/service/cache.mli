@@ -11,7 +11,9 @@
     same directory and [rename]d into place so concurrent writers and
     crashed processes can never expose a torn entry.  Loads are
     corruption-tolerant: any read, parse, or shape failure is a miss
-    (never an exception), counted in {!stats}.  An in-memory LRU front
+    (never an exception), counted in {!stats} as a load failure; an
+    absent entry, including one removed while it was looked up, is a
+    plain miss.  An in-memory LRU front
     (shared across domains behind a mutex) short-circuits the disk.
 
     With [shards = n > 1] the store is sharded by digest prefix: a
@@ -30,9 +32,13 @@ open Tmx_exec
 
 type verdict = {
   result : Enumerate.result;
+      (** its [races] is [Some races], the same array as the field
+          below, so [Litmus.run ~enumerate:(memo_run t)] answers race
+          checks from it *)
   races : (int * int) list array;
       (** per execution (same order as [result.executions]): its
-          L-races under the keyed model's happens-before *)
+          L-races at L = every location under the keyed model's
+          happens-before *)
   mixed : bool array;  (** per execution: has a mixed race *)
   lint_race_free : bool;
   lint_findings : int;
@@ -87,12 +93,13 @@ val memo :
   Model.t ->
   Ast.program ->
   verdict * [ `Hit | `Miss ]
-(** [find], else [compute] + [store]. *)
+(** [find], else [compute] + [store], all under one {!key}. *)
 
 val memo_run :
   t -> config:Enumerate.config -> Model.t -> Ast.program -> Enumerate.result
 (** {!memo} projected to the enumeration result — the shape of
-    [Enumerate.run], pluggable as [Litmus.run ~enumerate]. *)
+    [Enumerate.run], pluggable as [Litmus.run ~enumerate], with the
+    cached races in [races]. *)
 
 type stats = {
   hits : int;

@@ -103,8 +103,24 @@ let test_fence_wrong_location () =
   Alcotest.(check bool) "y-fence does not quiesce x" true
     (Verdict.execution_races im t <> [])
 
+(* An L-race check is a filter of the races at L = Loc, for every L,
+   under every model. *)
+let prop_restrict =
+  let arb_l =
+    QCheck.make
+      ~print:(function None -> "Loc" | Some l -> "{" ^ String.concat "," l ^ "}")
+      QCheck.Gen.(opt (oneofl [ []; [ "x" ]; [ "y" ]; [ "x"; "y" ] ]))
+  in
+  let arb_model = QCheck.make ~print:(fun m -> m.Model.name) (QCheck.Gen.oneofl Model.all) in
+  QCheck.Test.make ~name:"restricting the races at Loc = the races at L" ~count:300
+    (QCheck.triple Test_naive.arb_trace arb_l arb_model)
+    (fun (t, l, model) ->
+      let hb = Hb.compute model (Lift.make t) in
+      Race.restrict ?l t (Race.races t hb) = Race.races ?l t hb)
+
 let suite =
   [
+    Tb.qcheck prop_restrict;
     Alcotest.test_case "privatization race pm vs im" `Quick test_privatization_race;
     Alcotest.test_case "spatial restriction" `Quick test_l_restriction;
     Alcotest.test_case "transactions never race" `Quick test_txn_txn_never_race;

@@ -339,6 +339,131 @@ let test_cached_reports_identical () =
     ((Cache.stats warm_cache).hits > 0);
   ignore (Cache.clear ~dir)
 
+(* The enumeration a race check reads carries the cache's race pairs:
+   none from the enumerator, the verdict's own array (shared, not
+   copied) from a computed verdict and from a disk reload. *)
+let test_result_carries_races () =
+  let dir = temp_dir "races-field" in
+  let p = program_of "privatization" in
+  let model = Model.implementation in
+  Alcotest.(check bool)
+    "Enumerate.run leaves races empty" true
+    ((Enumerate.run ~config model p).races = None);
+  let shares what (v : Cache.verdict) =
+    match v.result.races with
+    | Some r -> Alcotest.(check bool) (what ^ ": the verdict's array") true (r == v.races)
+    | None -> Alcotest.failf "%s: result.races = None" what
+  in
+  let v = Cache.compute ~config model p in
+  shares "compute" v;
+  Alcotest.(check bool) "some execution races" true (Array.exists (( <> ) []) v.races);
+  let c = Cache.create ~dir () in
+  let cold, _ = Cache.memo c ~config model p in
+  shares "cold memo" cold;
+  (match Cache.find (Cache.create ~dir ()) ~config model p with
+  | None -> Alcotest.fail "fresh cache misses a stored entry"
+  | Some r ->
+      shares "disk reload" r;
+      if r.races <> v.races then Alcotest.fail "disk reload: race pairs differ");
+  ignore (Cache.clear ~dir)
+
+(* Race checks synthesized for a generated program under two random
+   models: race-free or racy claims over a random L ⊆ locs (or every
+   location), with and without a condition on the outcome, and a
+   mixed-race claim.  The condition splits the outcomes by a seeded
+   hash.  The claims need not hold: the reports must only agree. *)
+let synthesized_checks st (p : Ast.program) =
+  let pick xs = List.nth xs (Random.State.int st (List.length xs)) in
+  let some_l () =
+    if Random.State.bool st then None
+    else Some (List.filter (fun _ -> Random.State.bool st) p.locs)
+  in
+  let salt = Random.State.bits st in
+  let cond o = Hashtbl.seeded_hash salt (o : Outcome.t) land 1 = 0 in
+  let race model cond =
+    let l = some_l () and expect = pick [ `All_race_free; `Some_racy ] in
+    Tmx_litmus.Litmus.Race_check
+      {
+        model;
+        descr =
+          Fmt.str "%s on %s%s"
+            (if expect = `All_race_free then "race-free" else "racy")
+            (match l with None -> "Loc" | Some l -> "{" ^ String.concat "," l ^ "}")
+            (if cond = None then "" else " when matched");
+        cond;
+        l;
+        expect;
+      }
+  in
+  List.concat_map
+    (fun model ->
+      [
+        race model None;
+        race model (Some cond);
+        race model (Some cond);
+        race model None;
+        Tmx_litmus.Litmus.Mixed_race_check
+          { model; descr = "mixed race"; expect = Random.State.bool st };
+      ])
+    [ pick Model.all; pick Model.all ]
+
+(* Race checks answered from the cached pairs render the same reports
+   as checks that derive every hb: direct, through a cold cache, and
+   through a fresh cache that reloads every entry from disk. *)
+let test_cached_race_checks () =
+  let dir = temp_dir "race-checks" in
+  let litmus =
+    List.init 100 (fun i ->
+        let st = Tmx_fuzz.Gen.state_of_seed ~seed:1234 ~index:i in
+        let program = Tmx_fuzz.Gen.program ~name:"g" Tmx_fuzz.Gen.mixed st in
+        {
+          Tmx_litmus.Litmus.name = Fmt.str "g%d" i;
+          section = "generated";
+          description = "";
+          program;
+          checks = synthesized_checks st program;
+        })
+  in
+  let render enumerate =
+    List.map
+      (fun l -> Fmt.str "%a" Tmx_litmus.Litmus.pp_report (Tmx_litmus.Litmus.run ~config ~enumerate l))
+      litmus
+  in
+  let through c ~config m p = Cache.memo_run c ~config m p in
+  let direct = render (fun ~config m p -> Enumerate.run ~config m p) in
+  let cold = render (through (Cache.create ~dir ())) in
+  let reload_cache = Cache.create ~dir () in
+  let reload = render (through reload_cache) in
+  List.iter2
+    (fun (l : Tmx_litmus.Litmus.t) (d, (c, r)) ->
+      Alcotest.(check string) (l.name ^ ": cold = direct") d c;
+      Alcotest.(check string) (l.name ^ ": reload = direct") d r)
+    litmus
+    (List.combine direct (List.combine cold reload));
+  Alcotest.(check int) "the reload never misses" 0 (Cache.stats reload_cache).misses;
+  ignore (Cache.clear ~dir)
+
+(* An absent entry is a miss; an entry that exists but cannot be read
+   (here a symbolic link to itself) is a counted load failure. *)
+let test_cache_absent_vs_unreadable () =
+  let dir = temp_dir "absent" in
+  let c = Cache.create ~dir () in
+  let p = program_of "sb" in
+  Alcotest.(check bool) "absent: no verdict" true (Cache.find c ~config Model.programmer p = None);
+  let s = Cache.stats c in
+  Alcotest.(check int) "absent: one miss" 1 s.misses;
+  Alcotest.(check int) "absent: no load failure" 0 s.load_failures;
+  let path = Cache.entry_path c (Cache.key c ~config Model.programmer p) in
+  Unix.symlink (Filename.basename path) path;
+  let c' = Cache.create ~dir () in
+  Alcotest.(check bool) "unreadable: no verdict" true
+    (Cache.find c' ~config Model.programmer p = None);
+  let s = Cache.stats c' in
+  Alcotest.(check int) "unreadable: one miss" 1 s.misses;
+  Alcotest.(check int) "unreadable: one load failure" 1 s.load_failures;
+  Sys.remove path;
+  ignore (Cache.clear ~dir)
+
 (* -- the serve daemon --------------------------------------------------------- *)
 
 let socket_path () = Fmt.str "/tmp/tmx-test-%d.sock" (Unix.getpid ())
@@ -980,6 +1105,11 @@ let suite =
     Alcotest.test_case "cache concurrent memo" `Quick test_cache_concurrent;
     Alcotest.test_case "cached reports byte-identical" `Slow
       test_cached_reports_identical;
+    Alcotest.test_case "enumeration carries cached races" `Quick test_result_carries_races;
+    Alcotest.test_case "cached race checks on generated programs" `Slow
+      test_cached_race_checks;
+    Alcotest.test_case "cache absent vs unreadable entry" `Quick
+      test_cache_absent_vs_unreadable;
     Alcotest.test_case "cache shard isolation" `Quick test_cache_shard_isolation;
     Alcotest.test_case "cache shard prefix guard" `Quick
       test_cache_shard_prefix_guard;
