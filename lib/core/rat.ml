@@ -38,8 +38,9 @@ let pred a = sub a one
 
 let to_float a = float_of_int a.num /. float_of_int a.den
 
-let pp ppf a =
-  if a.den = 1 then Fmt.int ppf a.num
-  else Fmt.pf ppf "%d/%d" a.num a.den
+(* no formatter: this prints every timestamp of every cached event *)
+let to_string a =
+  if a.den = 1 then string_of_int a.num
+  else string_of_int a.num ^ "/" ^ string_of_int a.den
 
-let to_string a = Fmt.str "%a" pp a
+let pp ppf a = Fmt.string ppf (to_string a)

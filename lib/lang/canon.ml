@@ -1,7 +1,7 @@
-(* Canonical program form — the cache-key serialization.  The text
-   mirrors the litmus format of [Tmx_litmus.Parse]/[Export] (which this
-   library cannot depend on), with every degree of freedom pinned:
-   sorted deduped locs, two-space indentation, one statement per line.
+(* Canonical program form — the cache-key serialization.  The text is
+   the litmus format of [Tmx_litmus.Parse] (whose [Export] prints
+   through [render]), with every degree of freedom pinned: sorted
+   deduped locs, two-space indentation, one statement per line.
 
    Negative literals are the one AST form the parser cannot produce
    (unary minus parses as [Sub (Int 0, x)]), so [normalize] rewrites
@@ -41,43 +41,124 @@ let normalize (p : Ast.program) : Ast.program =
     threads = List.map (List.map norm_stmt) p.threads;
   }
 
+(* The emitter writes straight into the buffer: it runs on every cache
+   lookup (the key hashes [structural]), so it avoids a formatter per
+   statement.  Its text is what [Ast.pp_expr] and [Ast.pp_stmt] print. *)
+let add = Buffer.add_string
+
+let rec emit_expr buf (e : Ast.expr) =
+  match e with
+  | Int n -> add buf (string_of_int n)
+  | Reg r -> add buf r
+  | Add (a, b) -> emit_bin buf a " + " b
+  | Sub (a, b) -> emit_bin buf a " - " b
+  | Mul (a, b) -> emit_bin buf a " * " b
+  | Eq (a, b) -> emit_bin buf a " = " b
+  | Ne (a, b) -> emit_bin buf a " != " b
+  | Lt (a, b) -> emit_bin buf a " < " b
+  | Not a ->
+      Buffer.add_char buf '!';
+      emit_expr buf a
+  | And (a, b) -> emit_bin buf a " && " b
+  | Or (a, b) -> emit_bin buf a " || " b
+
+and emit_bin buf a op b =
+  Buffer.add_char buf '(';
+  emit_expr buf a;
+  add buf op;
+  emit_expr buf b;
+  Buffer.add_char buf ')'
+
+let emit_lval buf ({ base; index } : Ast.lval) =
+  add buf base;
+  match index with
+  | None -> ()
+  | Some e ->
+      Buffer.add_char buf '[';
+      emit_expr buf e;
+      Buffer.add_char buf ']'
+
+let pad buf indent =
+  for _ = 1 to indent do
+    Buffer.add_char buf ' '
+  done
+
+(* one statement per line; a block's body is indented two more spaces *)
 let rec emit_stmt buf indent (s : Ast.stmt) =
-  let pad = String.make indent ' ' in
+  pad buf indent;
   match s with
-  | Ast.Atomic body ->
-      Buffer.add_string buf (pad ^ "atomic {\n");
-      List.iter (emit_stmt buf (indent + 2)) body;
-      Buffer.add_string buf (pad ^ "}\n")
-  | Ast.If (c, t, []) ->
-      Buffer.add_string buf (Fmt.str "%sif %a {\n" pad Ast.pp_expr c);
-      List.iter (emit_stmt buf (indent + 2)) t;
-      Buffer.add_string buf (pad ^ "}\n")
-  | Ast.If (c, t, e) ->
-      Buffer.add_string buf (Fmt.str "%sif %a {\n" pad Ast.pp_expr c);
-      List.iter (emit_stmt buf (indent + 2)) t;
-      Buffer.add_string buf (pad ^ "} else {\n");
-      List.iter (emit_stmt buf (indent + 2)) e;
-      Buffer.add_string buf (pad ^ "}\n")
-  | Ast.While (c, b) ->
-      Buffer.add_string buf (Fmt.str "%swhile %a {\n" pad Ast.pp_expr c);
-      List.iter (emit_stmt buf (indent + 2)) b;
-      Buffer.add_string buf (pad ^ "}\n")
-  | s -> Buffer.add_string buf (Fmt.str "%s%a\n" pad Ast.pp_stmt s)
+  | Atomic body ->
+      add buf "atomic {\n";
+      emit_block buf indent body
+  | If (c, t, []) ->
+      emit_head buf "if " c;
+      emit_block buf indent t
+  | If (c, t, e) ->
+      emit_head buf "if " c;
+      emit_body buf indent t;
+      pad buf indent;
+      add buf "} else {\n";
+      emit_block buf indent e
+  | While (c, b) ->
+      emit_head buf "while " c;
+      emit_block buf indent b
+  | Load (r, lv) ->
+      add buf r;
+      add buf " := ";
+      emit_lval buf lv;
+      Buffer.add_char buf '\n'
+  | Store (lv, e) ->
+      emit_lval buf lv;
+      add buf " := ";
+      emit_expr buf e;
+      Buffer.add_char buf '\n'
+  | Assign (r, e) ->
+      add buf r;
+      add buf " := ";
+      emit_expr buf e;
+      Buffer.add_char buf '\n'
+  | Abort -> add buf "abort\n"
+  | Fence x ->
+      add buf "fence(";
+      add buf x;
+      add buf ")\n"
+  | Skip -> add buf "skip\n"
+
+and emit_head buf keyword c =
+  add buf keyword;
+  emit_expr buf c;
+  add buf " {\n"
+
+and emit_body buf indent body = List.iter (emit_stmt buf (indent + 2)) body
+
+(* the body, then the closing brace at the opening line's indent *)
+and emit_block buf indent body =
+  emit_body buf indent body;
+  pad buf indent;
+  add buf "}\n"
 
 let emit ~with_name buf (p : Ast.program) =
-  if with_name then Buffer.add_string buf (Fmt.str "name %s\n" p.name);
-  Buffer.add_string buf
-    (Fmt.str "locs %a\n" Fmt.(list ~sep:(any " ") string) p.locs);
+  if with_name then (
+    add buf "name ";
+    add buf p.name;
+    Buffer.add_char buf '\n');
+  add buf "locs ";
+  add buf (String.concat " " p.locs);
+  Buffer.add_char buf '\n';
   List.iteri
     (fun i thread ->
-      Buffer.add_string buf (Fmt.str "\nthread %d:\n" i);
+      add buf "\nthread ";
+      add buf (string_of_int i);
+      add buf ":\n";
       List.iter (emit_stmt buf 2) thread)
     p.threads
 
-let to_string p =
+let render p =
   let buf = Buffer.create 256 in
-  emit ~with_name:true buf (normalize p);
+  emit ~with_name:true buf p;
   Buffer.contents buf
+
+let to_string p = render (normalize p)
 
 let structural p =
   let buf = Buffer.create 256 in

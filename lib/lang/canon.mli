@@ -17,12 +17,23 @@ val normalize : Ast.program -> Ast.program
     parser produces for unary minus — so the printed text re-parses to
     the normalized AST exactly.  Idempotent. *)
 
+val render : Ast.program -> string
+(** Litmus text of [p] as given, without [normalize]: the [name] line,
+    the [locs] line in the given order, then each thread with fixed
+    two-space indentation, one statement per line, no comments.  This
+    is the project's one program printer: [Tmx_litmus.Export] prints
+    through it, so [tmx export], the fuzz corpus and the loadgen's
+    by-source requests share its text. *)
+
 val to_string : Ast.program -> string
-(** Canonical litmus text of [normalize p], including the [name] line.
-    Fixed two-space indentation, one statement per line, no comments. *)
+(** Canonical litmus text: [render (normalize p)]. *)
 
 val structural : Ast.program -> string
-(** [to_string] without the [name] line: the hashed representation. *)
+(** [to_string] without the [name] line: the hashed representation.
+    Every verdict-cache key hashes this text, so its bytes are pinned:
+    a change to any printed form would silently orphan every stored
+    entry.  Tests hold the printer byte-identical to the [Ast.pp_expr] /
+    [Ast.pp_stmt] text and pin the digests of catalog programs. *)
 
 val digest : Ast.program -> string
 (** Hex MD5 of [structural p].  Equal for structurally equal programs

@@ -1,39 +1,5 @@
 (* Export programs to the litmus text format of [Parse] — the inverse of
-   parsing, used by `tmx export` and round-trip tested. *)
+   parsing, used by `tmx export` and round-trip tested.  The printer is
+   [Canon]'s, without its normalization. *)
 
-open Tmx_lang
-
-let rec emit_stmt buf indent (s : Ast.stmt) =
-  let pad = String.make indent ' ' in
-  match s with
-  | Ast.Atomic body ->
-      Buffer.add_string buf (pad ^ "atomic {\n");
-      List.iter (emit_stmt buf (indent + 2)) body;
-      Buffer.add_string buf (pad ^ "}\n")
-  | Ast.If (c, t, []) ->
-      Buffer.add_string buf (Fmt.str "%sif %a {\n" pad Ast.pp_expr c);
-      List.iter (emit_stmt buf (indent + 2)) t;
-      Buffer.add_string buf (pad ^ "}\n")
-  | Ast.If (c, t, e) ->
-      Buffer.add_string buf (Fmt.str "%sif %a {\n" pad Ast.pp_expr c);
-      List.iter (emit_stmt buf (indent + 2)) t;
-      Buffer.add_string buf (pad ^ "} else {\n");
-      List.iter (emit_stmt buf (indent + 2)) e;
-      Buffer.add_string buf (pad ^ "}\n")
-  | Ast.While (c, b) ->
-      Buffer.add_string buf (Fmt.str "%swhile %a {\n" pad Ast.pp_expr c);
-      List.iter (emit_stmt buf (indent + 2)) b;
-      Buffer.add_string buf (pad ^ "}\n")
-  | s -> Buffer.add_string buf (Fmt.str "%s%a\n" pad Ast.pp_stmt s)
-
-let program_to_string (p : Ast.program) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Fmt.str "name %s\n" p.name);
-  Buffer.add_string buf
-    (Fmt.str "locs %a\n" Fmt.(list ~sep:(any " ") string) p.locs);
-  List.iteri
-    (fun i thread ->
-      Buffer.add_string buf (Fmt.str "\nthread %d:\n" i);
-      List.iter (emit_stmt buf 2) thread)
-    p.threads;
-  Buffer.contents buf
+let program_to_string = Tmx_lang.Canon.render

@@ -4,3 +4,4 @@
     [p]. *)
 
 val program_to_string : Tmx_lang.Ast.program -> string
+(** {!Tmx_lang.Canon.render}: the program as given, not normalized. *)

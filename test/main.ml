@@ -63,6 +63,7 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("arch", Test_arch.suite);
       ("arch_catalog", Test_arch.catalog_suite);
+      ("codec", Test_codec.suite);
       ("service", Test_service.suite);
     ]
   in

@@ -34,7 +34,9 @@ let test_between () =
 
 let test_pp () =
   Alcotest.(check string) "int prints bare" "3" (Rat.to_string (Rat.of_int 3));
-  Alcotest.(check string) "fraction" "3/2" (Rat.to_string (Rat.make 3 2))
+  Alcotest.(check string) "fraction" "3/2" (Rat.to_string (Rat.make 3 2));
+  Alcotest.(check string) "negative fraction" "-3/2" (Rat.to_string (Rat.make 3 (-2)));
+  Alcotest.(check string) "pp prints to_string" "-3/2" (Fmt.str "%a" Rat.pp (Rat.make (-3) 2))
 
 let small_rat =
   QCheck.map

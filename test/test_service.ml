@@ -96,7 +96,12 @@ let test_json_roundtrip () =
       match Json.of_string bad with
       | Ok _ -> Alcotest.failf "accepted malformed JSON %S" bad
       | Error _ -> ())
-    [ "{"; "[1,"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; {|"\u0_41"|} ]
+    [
+      "{"; "[1,"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated"; {|"\u0_41"|};
+      (* unterminated strings with no escape, which the parser slices
+         without a buffer *)
+      "\""; "[\"a"; "{\"key"; "{\"a\":\"b"; "\"abc\\";
+    ]
 
 (* of_string (to_string v) = Ok v over random values: finite numbers,
    and strings and keys with control characters, quotes, backslashes and
@@ -611,6 +616,55 @@ let test_server_end_to_end () =
   Server.stop t;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket)
 
+(* One request line over a fresh Unix-socket connection, exactly as
+   written (the Json.t a client builds cannot hold 1e999); the raw
+   reply line. *)
+let exchange_raw socket line =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let line = line ^ "\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      input_line (Unix.in_channel_of_descr fd))
+
+(* Numbers outside the float or int range: an id that overflows to
+   infinity makes the line malformed (it used to be echoed as the
+   invalid JSON `inf`), and a deadline too large for an int counts as
+   no deadline (it used to read as 0 ms, so the request expired) *)
+let test_server_out_of_range_numbers () =
+  let dir = temp_dir "range" in
+  let socket = socket_path () ^ "5" in
+  let t = Server.start { (Server.default_config ~socket) with cache_dir = dir } in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop t;
+      ignore (Cache.clear ~dir))
+    (fun () ->
+      let reply line =
+        let raw = exchange_raw socket line in
+        match Json.of_string raw with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "reply to %s is not JSON (%s): %s" line e raw
+      in
+      let r = reply {|{"verb":"ping","id":1e999}|} in
+      Alcotest.(check bool) "overflowing id: malformed request" false
+        (Protocol.response_ok r);
+      Alcotest.(check bool) "no id echoed" true (Json.mem "id" r = None);
+      Alcotest.(check string) "-0 echoed as sent"
+        {|{"ok":true,"verb":"ping","id":-0}|}
+        (exchange_raw socket {|{"verb":"ping","id":-0}|});
+      let line = {|{"verb":"races","name":"sb","deadline_ms":1e300}|} in
+      (match Protocol.of_line line with
+      | Ok req ->
+          Alcotest.(check (option int)) "1e300 ms is no deadline" None req.deadline_ms
+      | Error e -> Alcotest.failf "%s: %s" line e);
+      let r = reply line in
+      Alcotest.(check (option string)) "no deadline error" None
+        (field Json.to_str "error" r);
+      Alcotest.(check bool) "races answered" true (Protocol.response_ok r))
+
 (* closing a listener removes its socket file only while the file is
    its own: a daemon restarted on the same path keeps its socket while
    the old one drains *)
@@ -1117,6 +1171,8 @@ let suite =
     Alcotest.test_case "server end to end" `Quick test_server_end_to_end;
     Alcotest.test_case "server tcp transport" `Quick test_server_tcp;
     Alcotest.test_case "server shutdown verb" `Quick test_server_shutdown_verb;
+    Alcotest.test_case "server out-of-range numbers" `Quick
+      test_server_out_of_range_numbers;
     Alcotest.test_case "restarted daemon keeps its socket" `Quick test_listener_path_ownership;
     Alcotest.test_case "admission shedding" `Slow test_admission_shedding;
     Alcotest.test_case "loadgen determinism" `Quick test_loadgen_determinism;
