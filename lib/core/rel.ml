@@ -1,27 +1,31 @@
-(* Binary relations over trace positions 0..n-1, as bitset rows.
-   Litmus-scale traces have n < 64, so a row is usually one word, but the
-   implementation is general. *)
+(* Binary relations over trace positions 0..n-1, as bitset rows in one
+   flat array: row i is words [i·w .. i·w + w - 1].  Litmus-scale traces
+   have n < 64, so a row is usually one word, but the implementation is
+   general.  One block per relation means a copy, a union or a compose
+   allocates once, not once per row. *)
 
-type t = { n : int; words : int; rows : int array array }
+type t = { n : int; w : int; a : int array }
 
 let bits_per_word = Sys.int_size (* 63 on 64-bit *)
 
 let create n =
-  let words = (n + bits_per_word - 1) / bits_per_word in
-  let words = max words 1 in
-  { n; words; rows = Array.init n (fun _ -> Array.make words 0) }
+  let w = max 1 ((n + bits_per_word - 1) / bits_per_word) in
+  { n; w; a = Array.make (n * w) 0 }
 
-let copy r = { r with rows = Array.map Array.copy r.rows }
+let copy r = { r with a = Array.copy r.a }
 let size r = r.n
 
-let[@inline] mem_row row j = row.(j / bits_per_word) land (1 lsl (j mod bits_per_word)) <> 0
+(* A row is an offset into an array of words: [off] is [i·w] for row i
+   of a relation, 0 for a one-row scratch array. *)
+let[@inline] mem_at a off j =
+  a.(off + (j / bits_per_word)) land (1 lsl (j mod bits_per_word)) <> 0
 
-let[@inline] add_row row j =
-  let w = j / bits_per_word in
-  row.(w) <- row.(w) lor (1 lsl (j mod bits_per_word))
+let[@inline] set_at a off j =
+  let k = off + (j / bits_per_word) in
+  a.(k) <- a.(k) lor (1 lsl (j mod bits_per_word))
 
-let mem r i j = mem_row r.rows.(i) j
-let add r i j = add_row r.rows.(i) j
+let mem r i j = mem_at r.a (i * r.w) j
+let add r i j = set_at r.a (i * r.w) j
 
 let of_pred n f =
   let r = create n in
@@ -34,7 +38,7 @@ let of_pred n f =
 
 let map2 name f a b =
   if a.n <> b.n then invalid_arg ("Rel." ^ name ^ ": size mismatch");
-  { a with rows = Array.map2 (Array.map2 f) a.rows b.rows }
+  { a with a = Array.map2 f a.a b.a }
 
 let union a b = map2 "union" ( lor ) a b
 let inter a b = map2 "inter" ( land ) a b
@@ -43,42 +47,33 @@ let union_many = function
   | [] -> invalid_arg "Rel.union_many: empty"
   | r :: rs -> List.fold_left union r rs
 
-let union_into ~into b =
+(* [or_into dst doff src soff w] ors [w] words of [src] into [dst];
+   true if any bit was new *)
+let or_into dst doff src soff w =
   let changed = ref false in
-  for i = 0 to into.n - 1 do
-    for w = 0 to into.words - 1 do
-      let v = into.rows.(i).(w) lor b.rows.(i).(w) in
-      if v <> into.rows.(i).(w) then begin
-        into.rows.(i).(w) <- v;
-        changed := true
-      end
-    done
-  done;
-  !changed
-
-let equal a b =
-  a.n = b.n
-  && Array.for_all2 (fun ra rb -> Array.for_all2 Int.equal ra rb) a.rows b.rows
-
-let is_empty r =
-  Array.for_all (fun row -> Array.for_all (fun w -> w = 0) row) r.rows
-
-let or_row dst src =
-  let changed = ref false in
-  for w = 0 to Array.length src - 1 do
-    let v = dst.(w) lor src.(w) in
-    if v <> dst.(w) then begin
-      dst.(w) <- v;
+  for k = 0 to w - 1 do
+    let d = dst.(doff + k) in
+    let v = d lor src.(soff + k) in
+    if v <> d then begin
+      dst.(doff + k) <- v;
       changed := true
     end
   done;
   !changed
 
-(* [iter_row row f] calls [f j] for each bit [j] set in [row], in
-   increasing order; the cost follows the set bits, not [n]. *)
-let iter_row row f =
-  for w = 0 to Array.length row - 1 do
-    let v = ref row.(w) and j = ref (w * bits_per_word) in
+let union_into ~into b =
+  if into.n <> b.n then invalid_arg "Rel.union_into: size mismatch";
+  or_into into.a 0 b.a 0 (Array.length into.a)
+
+let equal a b = a.n = b.n && Array.for_all2 Int.equal a.a b.a
+let is_empty r = Array.for_all (fun v -> v = 0) r.a
+
+(* [iter_at a off w f] calls [f j] for each bit [j] set in the [w]-word
+   row at [off], in increasing order; the cost follows the set bits,
+   not [n]. *)
+let iter_at a off w f =
+  for k = 0 to w - 1 do
+    let v = ref a.(off + k) and j = ref (k * bits_per_word) in
     while !v <> 0 do
       if !v land 1 <> 0 then f !j;
       v := !v lsr 1;
@@ -86,37 +81,32 @@ let iter_row row f =
     done
   done
 
-(* the row holding the positions that satisfy [keep] *)
-let row_of r keep =
-  let row = Array.make r.words 0 in
-  for j = 0 to r.n - 1 do
-    if keep j then add_row row j
-  done;
-  row
-
 (* In-place reflexive-free transitive closure (Warshall with bitset rows). *)
 let transitive_closure_in_place r =
+  let w = r.w in
   for k = 0 to r.n - 1 do
     for i = 0 to r.n - 1 do
-      if mem r i k then ignore (or_row r.rows.(i) r.rows.(k))
+      if mem r i k then ignore (or_into r.a (i * w) r.a (k * w) w)
     done
   done
 
 (* Incremental closure maintenance.  [r] must already be transitively
    closed; adding u->v creates exactly the paths i ~> u -> v ~> j, so the
    rows of u and of everything reaching u gain v's row plus the bit for v
-   itself.  v's own row is snapshotted first: if v reaches u the update
-   makes the relation cyclic through v, and the snapshot keeps the loop
-   from reading its own partial writes.  O(n·w) per new edge, against
-   O(n²·w + n³/w) for a from-scratch Warshall. *)
+   itself.  v's row is read in place: when v reaches u it is among the
+   updated rows, but its update adds only v, which every updated row
+   gains anyway, so rows updated before and after it get the same set.
+   O(n·w) per new edge, with no allocation, against O(n²·w + n³/w) for a
+   from-scratch Warshall. *)
 let add_edge_closed r u v =
   if mem r u v then false
   else begin
-    let row_v = Array.copy r.rows.(v) in
-    let wv = v / bits_per_word and bv = v mod bits_per_word in
-    row_v.(wv) <- row_v.(wv) lor (1 lsl bv);
+    let w = r.w in
     for i = 0 to r.n - 1 do
-      if i = u || mem r i u then ignore (or_row r.rows.(i) row_v)
+      if i = u || mem r i u then begin
+        ignore (or_into r.a (i * w) r.a (v * w) w);
+        add r i v
+      end
     done;
     true
   end
@@ -125,14 +115,15 @@ let add_edge_closed r u v =
    Returns [true] if anything was added. *)
 let union_into_closed ~into delta =
   if into.n <> delta.n then invalid_arg "Rel.union_into_closed: size mismatch";
+  let w = delta.w in
   let changed = ref false in
   for i = 0 to delta.n - 1 do
-    for w = 0 to delta.words - 1 do
-      let fresh = delta.rows.(i).(w) land lnot into.rows.(i).(w) in
+    for k = 0 to w - 1 do
+      let fresh = delta.a.((i * w) + k) land lnot into.a.((i * w) + k) in
       if fresh <> 0 then
         for b = 0 to bits_per_word - 1 do
           if fresh land (1 lsl b) <> 0 then
-            if add_edge_closed into i ((w * bits_per_word) + b) then
+            if add_edge_closed into i ((k * bits_per_word) + b) then
               changed := true
         done
     done
@@ -147,8 +138,9 @@ let transitive_closure r =
 let compose a b =
   if a.n <> b.n then invalid_arg "Rel.compose: size mismatch";
   let r = create a.n in
+  let w = a.w in
   for i = 0 to a.n - 1 do
-    iter_row a.rows.(i) (fun j -> ignore (or_row r.rows.(i) b.rows.(j)))
+    iter_at a.a (i * w) w (fun j -> ignore (or_into r.a (i * w) b.a (j * w) w))
   done;
   r
 
@@ -166,7 +158,7 @@ let is_acyclic r =
 
 let iter r f =
   for i = 0 to r.n - 1 do
-    iter_row r.rows.(i) (f i)
+    iter_at r.a (i * r.w) r.w (f i)
   done
 
 let fold r f init =
@@ -176,18 +168,32 @@ let fold r f init =
 
 let to_list r = fold r (fun i j acc -> (i, j) :: acc) [] |> List.rev
 
-let cardinal r = fold r (fun _ _ acc -> acc + 1) 0
+let cardinal r =
+  let count = ref 0 in
+  Array.iter
+    (fun v ->
+      let v = ref v in
+      while !v <> 0 do
+        v := !v land (!v - 1);
+        incr count
+      done)
+    r.a;
+  !count
 
 let restrict ?(src = fun _ -> true) ?(dst = fun _ -> true) r =
-  let mask = row_of r dst in
-  {
-    r with
-    rows =
-      Array.mapi
-        (fun i row ->
-          if src i then Array.map2 ( land ) row mask else Array.make r.words 0)
-        r.rows;
-  }
+  let w = r.w in
+  let mask = Array.make w 0 in
+  for j = 0 to r.n - 1 do
+    if dst j then set_at mask 0 j
+  done;
+  let out = create r.n in
+  for i = 0 to r.n - 1 do
+    if src i then
+      for k = 0 to w - 1 do
+        out.a.((i * w) + k) <- r.a.((i * w) + k) land mask.(k)
+      done
+  done;
+  out
 
 let converse r =
   let c = create r.n in
@@ -196,29 +202,35 @@ let converse r =
 
 (* Lifting by an equivalence, one class at a time: a class reaches the
    union of its members' rows, widened to whole classes; every member
-   gains that set minus its own class.  O(n·w) plus O(w) per set bit of
-   the class rows, against O(n²) for a per-pair lift. *)
+   gains that set minus its own class.  Row c of [members] holds class
+   c's members (empty unless c names a class).  O(n·w) plus O(w) per set
+   bit of the class rows, against O(n²) for a per-pair lift. *)
 let lift ~classes r =
-  if Array.length classes <> r.n then invalid_arg "Rel.lift: size mismatch";
-  let members = Array.make r.n [||] in
-  Array.iteri
-    (fun i c ->
-      if Array.length members.(c) = 0 then members.(c) <- Array.make r.words 0;
-      add_row members.(c) i)
-    classes;
+  let n = r.n and w = r.w in
+  if Array.length classes <> n then invalid_arg "Rel.lift: size mismatch";
+  let members = Array.make (n * w) 0 in
+  Array.iteri (fun i c -> set_at members (c * w) i) classes;
   let out = copy r in
-  Array.iter
-    (fun m ->
-      if Array.length m > 0 then begin
-        let reach = Array.make r.words 0 in
-        iter_row m (fun a -> ignore (or_row reach r.rows.(a)));
-        let wide = Array.make r.words 0 in
-        iter_row reach (fun b ->
-            if not (mem_row wide b) then ignore (or_row wide members.(classes.(b))));
-        Array.iteri (fun w v -> wide.(w) <- v land lnot m.(w)) wide;
-        iter_row m (fun a -> ignore (or_row out.rows.(a) wide))
-      end)
-    members;
+  let reach = Array.make w 0 and wide = Array.make w 0 in
+  for c = 0 to n - 1 do
+    let m = c * w in
+    let nonempty = ref false in
+    for k = 0 to w - 1 do
+      if members.(m + k) <> 0 then nonempty := true
+    done;
+    if !nonempty then begin
+      Array.fill reach 0 w 0;
+      iter_at members m w (fun a -> ignore (or_into reach 0 r.a (a * w) w));
+      Array.fill wide 0 w 0;
+      iter_at reach 0 w (fun b ->
+          if not (mem_at wide 0 b) then
+            ignore (or_into wide 0 members (classes.(b) * w) w));
+      for k = 0 to w - 1 do
+        wide.(k) <- wide.(k) land lnot members.(m + k)
+      done;
+      iter_at members m w (fun a -> ignore (or_into out.a (a * w) wide 0 w))
+    end
+  done;
   out
 
 let filter r keep_pair = of_pred r.n (fun i j -> mem r i j && keep_pair i j)
@@ -226,11 +238,7 @@ let filter r keep_pair = of_pred r.n (fun i j -> mem r i j && keep_pair i j)
 let subset a b =
   if a.n <> b.n then invalid_arg "Rel.subset: size mismatch";
   let ok = ref true in
-  for i = 0 to a.n - 1 do
-    for w = 0 to a.words - 1 do
-      if a.rows.(i).(w) land lnot b.rows.(i).(w) <> 0 then ok := false
-    done
-  done;
+  Array.iteri (fun k v -> if v land lnot b.a.(k) <> 0 then ok := false) a.a;
   !ok
 
 let pp ppf r =

@@ -4,10 +4,14 @@
     closure, acyclicity and irreflexivity checks.
 
     Represented as bitset rows, [w] words per row (1 for litmus-scale
-    traces).  Union, intersection, restriction and copying are O(n·w);
-    composition, iteration and lifting are O(n·w) plus a cost per set
-    bit; closure is O(n²·w); only [of_pred] and [filter], which call
-    their predicate per pair, are O(n²) in predicate calls. *)
+    traces), all kept in one flat array: row i is words [i·w .. i·w+w-1].
+    So creating, copying, and every operation that returns a new
+    relation allocate one block of n·w words, not one per row.  Union,
+    intersection, restriction and copying are O(n·w); composition,
+    iteration and lifting are O(n·w) plus a cost per set bit; closure is
+    O(n²·w); [add_edge_closed] is O(n·w) and allocates nothing; only
+    [of_pred] and [filter], which call their predicate per pair, are
+    O(n²) in predicate calls. *)
 
 type t
 

@@ -264,12 +264,15 @@ let run_unreduced ~config ~model ~locs ~truncated thread_paths =
 (* One driver covers sequential and parallel reduced runs: the candidate
    space is cut to tasks — (live orbit representative, first-read pin)
    in enumeration order — run through the pool (with [jobs = 1] the pool
-   spawns nothing and runs them in order in the calling domain), and a
-   single merge pass walks every combo in enumeration order,
-   reconstructing counts, cap verdicts and executions; image combos
-   replay their representative's consistent selections through
-   [Symmetry.map_selection].  Results are therefore identical whatever
-   [jobs] was, by construction. *)
+   spawns nothing and runs them in order in the calling domain).  A task
+   enumerates its representative and transports the consistent
+   selections it found onto every image combo of the orbit
+   ([Symmetry.map_selection], then [Combo.linearize]), tagging each
+   execution with its combo-local candidate ordinal, so the images are
+   linearized in parallel with the rest of the search.  A single merge
+   pass then walks every combo in enumeration order, offsetting the
+   ordinals and applying the cap.  Results are therefore identical
+   whatever [jobs] was, by construction. *)
 let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
   let tp = Array.of_list (List.map Array.of_list thread_paths) in
   let nthreads = Array.length tp in
@@ -323,99 +326,110 @@ let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
       if go 0 live_reps < parallel_threshold then 1 else config.jobs
     end
   in
+  (* each live representative's image combos, in combo order *)
+  let images = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace images r []) live_reps;
+  if Option.is_some sym then
+    for idx = total_combos - 1 downto 0 do
+      let r = rep_of idx in
+      if r <> idx then
+        match Hashtbl.find_opt images r with
+        | Some l -> Hashtbl.replace images r (idx :: l)
+        | None -> ()
+    done;
   let tasks =
     List.concat_map
       (fun r ->
-        if jobs <= 1 then [ (r, None) ]
+        let ims = Hashtbl.find images r in
+        if jobs <= 1 then [ (r, None, ims) ]
         else
           match Combo.first_read_width (prepare r) with
-          | None -> [ (r, None) ]
-          | Some w -> List.init w (fun k -> (r, Some k)))
+          | None -> [ (r, None, ims) ]
+          | Some w -> List.init w (fun k -> (r, Some k, ims)))
       live_reps
     |> Array.of_list
   in
   (* with jobs = 1 no domain is spawned, so prepared combos are safe to
-     share; parallel workers re-prepare domain-locally *)
+     share; parallel workers prepare theirs domain-locally *)
   let share = jobs <= 1 in
   let results =
     Pool.run_tasks ~jobs ~tasks:(Array.length tasks) (fun ti ->
-        let r, pin = tasks.(ti) in
-        let combo = if share then prepare r else Combo.prepare (paths_of r) in
+        let r, pin, ims = tasks.(ti) in
+        let prepare idx = if share then prepare idx else Combo.prepare (paths_of idx) in
+        let combo = prepare r in
         let plan = Reduce.make_plan ~model ~locs combo in
-        let count = ref 0 and execs = ref [] in
+        let count = ref 0 and found = ref [] in
         let claim k =
           let ordinal = !count in
           count := !count + k;
           if ordinal < config.max_graphs then Some ordinal else None
         in
-        let emit ordinal sel trace =
-          execs :=
-            (ordinal, sel, { trace; outcome = Combo.outcome ~locs combo trace })
-            :: !execs
-        in
+        let emit ordinal sel trace = found := (ordinal, sel, trace) :: !found in
         let explored = Reduce.enumerate ?pin ~claim ~emit plan in
-        (!count, explored, List.rev !execs))
-  in
-  (* fold each representative's tasks back together, offsetting local
-     ordinals by the task prefix within the combo *)
-  let rep_data = Hashtbl.create 64 in
-  let ti = ref 0 in
-  List.iter
-    (fun r ->
-      let count = ref 0 and explored = ref 0 and execs = ref [] in
-      while !ti < Array.length tasks && fst tasks.(!ti) = r do
-        let c, x, es = results.(!ti) in
-        List.iter (fun (o, s, e) -> execs := (!count + o, s, e) :: !execs) es;
-        count := !count + c;
-        explored := !explored + x;
-        incr ti
-      done;
-      Hashtbl.add rep_data r (!count, !explored, List.rev !execs))
-    live_reps;
-  (* global merge in combo enumeration order *)
-  let executions = ref [] and prefix = ref 0 in
-  for idx = 0 to total_combos - 1 do
-    let r = rep_of idx in
-    match Hashtbl.find_opt rep_data r with
-    | None -> () (* infeasible orbit: zero candidates, like the skip above *)
-    | Some (count, _, execs) ->
-        if idx = r then
-          List.iter
-            (fun (o, _sel, e) ->
-              if !prefix + o < config.max_graphs then
-                executions := e :: !executions)
-            execs
-        else begin
-          let kept =
-            List.filter (fun (o, _, _) -> !prefix + o < config.max_graphs) execs
-          in
-          if kept <> [] then begin
+        let found = List.rev !found in
+        let execution c trace = { trace; outcome = Combo.outcome ~locs c trace } in
+        let transport idx =
+          if found = [] then []
+          else begin
+            let to_ = prepare idx in
             let pi = Symmetry.perm (Option.get sym) idx in
-            let from = prepare r and to_ = prepare idx in
-            List.iter
-              (fun (_o, sel, _e) ->
-                let sel' = Symmetry.map_selection ~from ~to_ pi sel in
-                match Combo.linearize ~locs to_ sel' with
-                | Some trace ->
-                    executions :=
-                      { trace; outcome = Combo.outcome ~locs to_ trace }
-                      :: !executions
+            List.map
+              (fun (o, sel, _) ->
+                match
+                  Combo.linearize ~locs to_
+                    (Symmetry.map_selection ~from:combo ~to_ pi sel)
+                with
+                | Some trace -> (o, execution to_ trace)
                 | None ->
                     (* the representative's candidate linearized, and
                        the renaming preserves the constraint graph *)
                     assert false)
-              kept
+              found
           end
-        end;
+        in
+        let own = List.map (fun (o, _, trace) -> (o, execution combo trace)) found in
+        (!count, explored, own :: List.map transport ims))
+  in
+  (* fold each representative's tasks back together, offsetting local
+     ordinals by the task prefix within the combo: every member of the
+     orbit (the representative, then its images) gets the orbit's
+     candidate count and its own executions *)
+  let per_combo = Hashtbl.create 64 in
+  let explored = ref 0 and ti = ref 0 in
+  List.iter
+    (fun r ->
+      let members = r :: Hashtbl.find images r in
+      let count = ref 0 and acc = ref (List.map (fun _ -> []) members) in
+      while !ti < Array.length tasks && (let r', _, _ = tasks.(!ti) in r' = r) do
+        let c, x, lists = results.(!ti) in
+        acc :=
+          List.map2
+            (fun a l -> List.rev_append (List.map (fun (o, e) -> (!count + o, e)) l) a)
+            !acc lists;
+        count := !count + c;
+        explored := !explored + x;
+        incr ti
+      done;
+      List.iter2 (fun idx a -> Hashtbl.add per_combo idx (!count, List.rev a)) members !acc)
+    live_reps;
+  (* global merge in combo enumeration order *)
+  let executions = ref [] and prefix = ref 0 in
+  for idx = 0 to total_combos - 1 do
+    match Hashtbl.find_opt per_combo idx with
+    | None -> () (* infeasible orbit: zero candidates, like the skip above *)
+    | Some (count, execs) ->
+        List.iter
+          (fun (o, e) ->
+            if !prefix + o < config.max_graphs then executions := e :: !executions)
+          execs;
         prefix := !prefix + count
   done;
-  let explored = Hashtbl.fold (fun _ (_, x, _) acc -> acc + x) rep_data 0 in
   {
     executions = List.rev !executions;
     truncated;
     capped = !prefix > config.max_graphs;
     graphs = min !prefix config.max_graphs;
-    explored;
+    explored = !explored;
     races = None;
   }
 

@@ -27,10 +27,11 @@
 
    and the whole subtree is skipped after bulk-counting its candidates,
    so the candidate-graph accounting matches the unreduced enumerator
-   exactly.  At a surviving leaf the full axiom check runs over the
-   accumulated relations (extended by the model's happens-before rules
-   via [Hb.compute_from]) — no trace, no [Lift.make]; only consistent
-   candidates are then linearized.
+   exactly.  A surviving leaf is decided from the invariants the walk
+   keeps ([leaf_consistent]); only a leaf whose happens-before the
+   model's rules extend ([Hb.compute_from]) gets the full axiom check
+   over the accumulated relations — no trace, no [Lift.make]; only
+   consistent candidates are then linearized.
 
    Indexing: candidates are judged in a fixed universe that prepends the
    initializing transaction (Begin, one write per location in [locs]
@@ -464,32 +465,43 @@ let anti_hits' ~nu ~hb ~mid r =
     false
   with Found -> true
 
+(* The walk keeps three invariants at every surviving node:
+     · k = closure(h ∪ lwr ∪ xrw) is acyclic ([add_k], [add_h]);
+     · no lww or lrw edge is reversed by h ([add_ww], [add_rw],
+       [check_reversals]);
+     · every hb rule premise is crw ; hb or hb ; crw, and every anti
+       axiom composes with crw.
+   So while hb = h, Causality, Coherence and Observation hold by
+   construction, and with crw = ∅ no rule fires and no anti axiom can
+   fail: the leaf is consistent under every model.  Otherwise the rules
+   run; if they add no edge only the anti axioms are left to check, and
+   only a grown hb needs the full check. *)
 let leaf_consistent plan st =
+  Rel.is_empty st.crw
+  ||
   let model = plan.model in
   let nu = plan.nu in
   let has_rules =
     model.Model.hb_ww || model.hb_wr || model.hb_rw || model.hb_ww'
     || model.hb_wr' || model.hb_rw'
   in
-  let hb, causality =
+  let hb, grew =
     if has_rules then begin
+      let before = Rel.cardinal st.h in
       (* leaf states are single-use: extend h in place *)
       let hb =
         Hb.compute_from model
           ~plain:(fun u -> not plan.tx.(u))
           ~crw:st.crw ~lww:st.lww ~lwr:st.lwr ~lrw:st.lrw st.h
       in
-      (hb, Rel.is_acyclic (Rel.union_many [ hb; st.lwr; st.xrw ]))
+      (hb, Rel.cardinal hb <> before)
     end
-    else
-      (* without hb rules, hb is exactly h, and the walk maintained
-         k = closure(h ∪ lwr ∪ xrw) acyclic by construction — Causality
-         cannot fail at a leaf *)
-      (st.h, true)
+    else (st.h, false)
   in
-  causality
-  && (not (compose_hits st.lww hb))
-  && (not (compose_hits st.lrw hb))
+  ((not grew)
+  || Rel.is_acyclic (Rel.union_many [ hb; st.lwr; st.xrw ])
+     && (not (compose_hits st.lww hb))
+     && not (compose_hits st.lrw hb))
   && ((not model.anti_ww) || not (anti_hits ~nu ~pre:st.crw ~hb st.lww))
   && ((not model.anti_rw) || not (anti_hits ~nu ~pre:st.crw ~hb st.lrw))
   && ((not model.anti_ww') || not (anti_hits' ~nu ~hb ~mid:st.crw st.lww))

@@ -216,35 +216,53 @@ let check_lint_sound ctx (p : Ast.program) =
 
 (* -- jobs-det ----------------------------------------------------------------- *)
 
+(* The models the two enumerator oracles judge under: pm, and the
+   strongest variant, whose hb rules and anti axioms exercise every
+   branch of the reduced enumerator's leaf check. *)
+let det_models = [ Model.programmer; Model.strongest ]
+
+(* An execution as the enumerator oracles compare it: its whole trace
+   and its outcome. *)
+let exec_key (e : Enumerate.execution) =
+  Fmt.str "%a|%a" Trace.pp e.trace Outcome.pp e.outcome
+
+(* The first failing model's verdict, else [Pass]. *)
+let under_models check =
+  let rec go = function
+    | [] -> Pass
+    | (model : Model.t) :: rest -> (
+        match check model with
+        | Pass -> go rest
+        | Fail m -> Fail (Fmt.str "%s (under %s)" m model.name))
+  in
+  go det_models
+
 (* NB: calls [Enumerate.run] directly, not [ctx.run] — this oracle's
    claim is about the enumerator itself, so serving either side from a
    cache would make it vacuous. *)
 let check_jobs_det ctx (p : Ast.program) =
   let jobs = max 2 ctx.jobs in
-  let r1 = Enumerate.run ~config:seq_config Model.programmer p in
-  let rn =
-    Enumerate.run
-      ~config:{ Enumerate.default_config with jobs }
-      Model.programmer p
-  in
-  if r1.graphs <> rn.graphs then
-    Fail (Fmt.str "graphs: %d with jobs=1, %d with jobs=%d" r1.graphs rn.graphs jobs)
-  else if r1.capped <> rn.capped || r1.truncated <> rn.truncated then
-    Fail "cap/truncation flags differ between jobs=1 and jobs=N"
-  else if List.length r1.executions <> List.length rn.executions then
-    Fail
-      (Fmt.str "%d executions with jobs=1, %d with jobs=%d"
-         (List.length r1.executions)
-         (List.length rn.executions)
-         jobs)
-  else if
-    not
-      (List.for_all2
-         (fun (a : Enumerate.execution) (b : Enumerate.execution) ->
-           Outcome.equal a.outcome b.outcome)
-         r1.executions rn.executions)
-  then Fail "execution order differs between jobs=1 and jobs=N"
-  else Pass
+  under_models (fun model ->
+      let r1 = Enumerate.run ~config:seq_config model p in
+      let rn =
+        Enumerate.run ~config:{ Enumerate.default_config with jobs } model p
+      in
+      if r1.graphs <> rn.graphs then
+        Fail
+          (Fmt.str "graphs: %d with jobs=1, %d with jobs=%d" r1.graphs rn.graphs
+             jobs)
+      else if r1.capped <> rn.capped || r1.truncated <> rn.truncated then
+        Fail "cap/truncation flags differ between jobs=1 and jobs=N"
+      else if List.length r1.executions <> List.length rn.executions then
+        Fail
+          (Fmt.str "%d executions with jobs=1, %d with jobs=%d"
+             (List.length r1.executions)
+             (List.length rn.executions)
+             jobs)
+      else if
+        List.map exec_key r1.executions <> List.map exec_key rn.executions
+      then Fail "executions (trace or order) differ between jobs=1 and jobs=N"
+      else Pass)
 
 (* -- reduction-det ------------------------------------------------------------ *)
 
@@ -255,37 +273,34 @@ let check_jobs_det ctx (p : Ast.program) =
    and candidate accounting with the execution multiset preserved (the
    order within a symmetry orbit is the representative's). *)
 let check_reduction_det _ctx (p : Ast.program) =
-  let run reduction =
-    Enumerate.run
-      ~config:{ seq_config with reduction }
-      Model.programmer p
-  in
-  let rn = run Enumerate.No_reduction in
-  let rd = run Enumerate.Dpor in
-  let rs = run Enumerate.Dpor_sym in
-  let key (e : Enumerate.execution) =
-    Fmt.str "%a|%a" Trace.pp e.trace Outcome.pp e.outcome
-  in
-  let kn = List.map key rn.executions in
-  if rn.graphs <> rd.graphs || rn.graphs <> rs.graphs then
-    Fail
-      (Fmt.str "graphs: %d none, %d dpor, %d dpor+sym" rn.graphs rd.graphs
-         rs.graphs)
-  else if
-    rn.capped <> rd.capped || rn.capped <> rs.capped
-    || rn.truncated <> rd.truncated || rn.truncated <> rs.truncated
-  then Fail "cap/truncation flags differ across reductions"
-  else if kn <> List.map key rd.executions then
-    Fail "dpor diverged from the unreduced reference (order-sensitive)"
-  else if
-    List.sort compare kn <> List.sort compare (List.map key rs.executions)
-  then Fail "dpor+sym execution multiset differs from the reference"
-  else if rd.explored > rn.explored || rs.explored > rd.explored then
-    Fail
-      (Fmt.str "explored states grew under reduction: %d none, %d dpor, %d \
-                dpor+sym"
-         rn.explored rd.explored rs.explored)
-  else Pass
+  under_models (fun model ->
+      let run reduction =
+        Enumerate.run ~config:{ seq_config with reduction } model p
+      in
+      let rn = run Enumerate.No_reduction in
+      let rd = run Enumerate.Dpor in
+      let rs = run Enumerate.Dpor_sym in
+      let kn = List.map exec_key rn.executions in
+      if rn.graphs <> rd.graphs || rn.graphs <> rs.graphs then
+        Fail
+          (Fmt.str "graphs: %d none, %d dpor, %d dpor+sym" rn.graphs rd.graphs
+             rs.graphs)
+      else if
+        rn.capped <> rd.capped || rn.capped <> rs.capped
+        || rn.truncated <> rd.truncated || rn.truncated <> rs.truncated
+      then Fail "cap/truncation flags differ across reductions"
+      else if kn <> List.map exec_key rd.executions then
+        Fail "dpor diverged from the unreduced reference (order-sensitive)"
+      else if
+        List.sort compare kn <> List.sort compare (List.map exec_key rs.executions)
+      then Fail "dpor+sym execution multiset differs from the reference"
+      else if rd.explored > rn.explored || rs.explored > rd.explored then
+        Fail
+          (Fmt.str
+             "explored states grew under reduction: %d none, %d dpor, %d \
+              dpor+sym"
+             rn.explored rd.explored rs.explored)
+      else Pass)
 
 (* -- repair-sound ------------------------------------------------------------- *)
 
@@ -412,12 +427,13 @@ let stock =
     };
     {
       name = "jobs-det";
-      descr = "parallel enumeration is bit-identical to sequential";
+      descr = "parallel enumeration is bit-identical to sequential (pm, strong)";
       check = check_jobs_det;
     };
     {
       name = "reduction-det";
-      descr = "dpor/dpor+sym enumeration preserves the unreduced verdicts";
+      descr =
+        "dpor/dpor+sym enumeration preserves the unreduced verdicts (pm, strong)";
       check = check_reduction_det;
     };
     {

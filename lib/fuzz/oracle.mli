@@ -16,11 +16,13 @@
                       under any model, and enumerated mixed races imply a mixed
                       finding                                                      |
     | [jobs-det]    | [Enumerate.run] with [jobs = 1] and [jobs = N] agree
-                      bit-for-bit (executions, order, graphs, caps)                |
+                      bit-for-bit (traces, outcomes, order, graphs, caps), under
+                      pm and under the strongest variant                          |
     | [reduction-det] | [Enumerate.run] under [Dpor] is bit-identical to the
                       unreduced reference, and under [Dpor_sym] preserves the
                       execution multiset, graphs, caps, and monotonically
-                      shrinks explored states                                      |
+                      shrinks explored states, under pm and the strongest
+                      variant                                                      |
     | [repair-sound]| synthesized repairs re-verify mixed-race-free, and every
                       edit is load-bearing                                         |
     | [arch-diff]   | x86-TSO and the C++-TM mapping validate the strongest

@@ -43,6 +43,7 @@ let () =
       ("shapes", Test_shapes.suite);
       ("parallel", Test_parallel.suite);
       ("reduction", Test_reduction.suite);
+      ("reduction_quick", Test_reduction.quick_suite);
       ("parse", Test_parse.suite);
       ("export", Test_export.suite);
       ("theorems", Test_theorems.suite);

@@ -116,6 +116,77 @@ let test_capped () =
   Alcotest.(check int) "capped graphs sym" rn.graphs rs.graphs;
   Alcotest.(check bool) "capped flag sym" rn.capped rs.capped
 
+(* A graph cap that lands inside an image combo, at every jobs value.
+   Images are transported in the representative's pool task and the cap
+   is applied at the merge, so the kept prefix — the image's executions
+   below the cut, none above — must come out bit-identical whatever
+   [jobs] was, with the reference's accounting. *)
+let test_capped_images () =
+  let p =
+    let open Tmx_lang.Ast in
+    let x = loc "x" in
+    program ~name:"capsym" ~locs:[ "x" ]
+      [
+        [ store x (int 1) ];
+        [ store x (int 2) ];
+        [ store x (int 1) ];
+        [ load "r1" x; load "r2" x ];
+        [ load "r1" x; load "r2" x ];
+      ]
+  in
+  let _, thread_paths, _ = Enumerate.unfold_combos Enumerate.default_config p in
+  let radices = Array.of_list (List.map List.length thread_paths) in
+  let sym =
+    match Symmetry.orbits ~radices (Symmetry.find thread_paths) with
+    | Some s -> s
+    | None -> Alcotest.fail "capsym has no symmetry"
+  in
+  (* candidates per combo, in combo order *)
+  let counts = ref [] in
+  Combo.product thread_paths (fun paths ->
+      counts := Combo.estimated_graphs (Combo.prepare paths) :: !counts);
+  let counts = Array.of_list (List.rev !counts) in
+  (* the image combo with the most candidates, cut in its middle *)
+  let best = ref (-1) in
+  Array.iteri
+    (fun idx c ->
+      if Symmetry.rep sym idx <> idx && (!best < 0 || c > counts.(!best)) then best := idx)
+    counts;
+  let start = Array.fold_left ( + ) 0 (Array.sub counts 0 !best) in
+  let cap = start + (counts.(!best) / 2) in
+  let at ?(jobs = 1) max_graphs =
+    run ~jobs ~max_graphs Enumerate.Dpor_sym Model.programmer p
+  in
+  let r1 = at cap in
+  Alcotest.(check bool) "capped" true r1.capped;
+  Alcotest.(check int) "graphs at the cap" cap r1.graphs;
+  let count (r : Enumerate.result) = List.length r.executions in
+  (* the cut falls among the image's executions *)
+  if not (count (at start) < count r1 && count r1 < count (at (start + counts.(!best))))
+  then Alcotest.failf "cap %d does not cut an image's executions" cap;
+  let rn = run ~max_graphs:cap Enumerate.No_reduction Model.programmer p in
+  Alcotest.(check int) "graphs = reference" rn.graphs r1.graphs;
+  Alcotest.(check bool) "capped = reference" rn.capped r1.capped;
+  List.iter
+    (fun jobs -> check_identical (Fmt.str "capsym jobs %d" jobs) r1 (at ~jobs cap))
+    [ 2; 4 ]
+
+(* Every catalog program × every model at jobs 1: dpor bit-identical to
+   none.  The quick sibling of the matrix above, and a test that sees a
+   wrong leaf verdict: random mixed programs almost never reach a leaf
+   that the invariants do not decide, the catalog does. *)
+let test_catalog_leaves () =
+  List.iter
+    (fun (lit : Tmx_litmus.Litmus.t) ->
+      List.iter
+        (fun (model : Model.t) ->
+          check_identical
+            (Fmt.str "%s/%s dpor=none" lit.name model.name)
+            (run Enumerate.No_reduction model lit.program)
+            (run Enumerate.Dpor model lit.program))
+        Model.all)
+    Tmx_litmus.Catalog.all
+
 (* A thread-symmetric program must collapse orbits: interchangeable
    readers over one location. *)
 let test_symmetry_bites () =
@@ -177,4 +248,13 @@ let suite =
     Alcotest.test_case "symmetry collapses interchangeable threads" `Quick
       test_symmetry_bites;
     Tb.qcheck prop_reduction_sound;
+  ]
+
+(* Under a second, so not among the exhaustive suites (test/main.ml). *)
+let quick_suite =
+  [
+    Alcotest.test_case "catalog x every model, dpor = none" `Quick
+      test_catalog_leaves;
+    Alcotest.test_case "graph cap inside an image combo at every jobs" `Quick
+      test_capped_images;
   ]
