@@ -770,9 +770,9 @@ let stm_bench_cmd =
           ~doc:
             "Also measure the per-architecture fence penalty (x86-TSO / \
              ARMv8 DMB LD / C++ seq_cst fence emulations against an \
-             unfenced baseline) and write it, together with the \
-             machine-checked section-6 catalog claims, as an \
-             arch_fence_penalty JSON document (BENCH_arch.json in CI).")
+             unfenced baseline) and write it as an arch_fence_penalty \
+             JSON document.  $(b,tmx arch table --all --check) asserts \
+             the section-6 catalog claims.")
   in
   let run domains iters out arch_out mode policy trace =
     let domains = max 1 domains and iters = max 1 iters in
@@ -817,44 +817,7 @@ let stm_bench_cmd =
     | Some file ->
         let costs = Stm_bench.arch_fence_cost config in
         List.iter (fun c -> Fmt.pr "%a@." Stm_bench.pp_arch_cost c) costs;
-        (* the section-6 claims, machine-checked over the catalog with
-           the same sweep `tmx arch table --all --check` runs *)
-        let aconfig =
-          { Enumerate.default_config with reduction = Enumerate.No_reduction }
-        in
-        let rows =
-          List.map
-            (fun (l : Tmx_litmus.Litmus.t) ->
-              Tmx_arch.Diff.rows ~config:aconfig l.program)
-            Tmx_litmus.Catalog.all
-        in
-        let count pred = List.length (List.filter pred (List.concat rows)) in
-        let bad arch =
-          count (fun (r : Tmx_arch.Diff.row) ->
-              r.arch = arch
-              && (r.imprecise || r.gap_fences <> None))
-        in
-        let armv8_open =
-          count (fun (r : Tmx_arch.Diff.row) ->
-              r.arch = Tmx_arch.Arch.Armv8
-              && (r.imprecise || r.gap_fences = Some None))
-        in
-        let gaps arch =
-          count (fun (r : Tmx_arch.Diff.row) ->
-              r.arch = arch && r.gap_fences <> None)
-        in
-        let claims =
-          Tmx_json.
-            [
-              ("catalog_programs", int (List.length rows));
-              ("x86tso_strongest_validated", Bool (bad Tmx_arch.Arch.X86tso = 0));
-              ("x86tso_zero_fences", Bool (gaps Tmx_arch.Arch.X86tso = 0));
-              ("rc11_strongest_validated", Bool (bad Tmx_arch.Arch.Rc11 = 0));
-              ("armv8_gap_programs", int (gaps Tmx_arch.Arch.Armv8));
-              ("armv8_gaps_closed", Bool (armv8_open = 0));
-            ]
-        in
-        Stm_bench.write_arch_json ~claims ~file config costs;
+        Stm_bench.write_arch_json ~file config costs;
         Fmt.pr "wrote %s (%d arch runs)@." file (List.length costs)
   in
   let term =
@@ -1035,60 +998,6 @@ let fuzz_cmd =
           previously minimized crashes, replayed first), run every \
           selected oracle on each, and minimize any failure with the \
           structure-aware shrinker.  Exits 1 when an oracle fails.")
-    term
-
-(* -- bench-compare ------------------------------------------------------------ *)
-
-let bench_compare_cmd =
-  let open Tmx_bench_compare in
-  let old_arg =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Committed benchmark witness.")
-  in
-  let new_arg =
-    Arg.(
-      required & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Freshly generated benchmark report.")
-  in
-  let threshold_arg =
-    Arg.(
-      value & opt float Compare.default_threshold
-      & info [ "threshold" ] ~docv:"F"
-          ~doc:"Relative throughput-regression threshold (default 0.25).")
-  in
-  let gate_keys_arg =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "gate-keys" ] ~docv:"SUBSTR,..."
-          ~doc:
-            "Compare only metrics whose key contains one of these \
-             substrings — CI gates a witness's long-established keys \
-             (e.g. commits_per_sec,commit_ratio) and leaves the rest to \
-             a separate warn-only run.")
-  in
-  let run threshold gate_keys old_file new_file =
-    Result.map
-      (fun v ->
-        Fmt.pr "%a" Compare.pp_verdict v;
-        if not (Compare.passed v) then exit 1)
-      (Compare.compare_files ~threshold ~gate_keys old_file new_file)
-  in
-  let term =
-    Term.(
-      term_result' (const run $ threshold_arg $ gate_keys_arg $ old_arg $ new_arg))
-  in
-  Cmd.v
-    (Cmd.info "bench-compare"
-       ~doc:
-         "Diff two benchmark witnesses of the same schema \
-          (BENCH_stm.json, BENCH_arch.json, BENCH_parallel.json, \
-          BENCH_reduction.json, BENCH_serve.json or BENCH_loadgen.json) \
-          and exit 1 on a throughput or cache-hit-rate regression beyond \
-          the threshold.  CI runs this warn-only against the committed \
-          witnesses, except the gated keys of BENCH_stm.json on pushes \
-          to main.")
     term
 
 (* -- theorems ----------------------------------------------------------------- *)
@@ -1836,8 +1745,8 @@ let loadgen_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Also write the report as JSON in the BENCH_loadgen.json \
-             schema (experiment serve_loadgen).")
+            "Also write the report as a JSON document (experiment \
+             serve_loadgen, one entry per shard count).")
   in
   let rate_arg =
     Arg.(
@@ -2180,6 +2089,6 @@ let () =
             litmus_cmd; outcomes_cmd; races_cmd; lint_cmd; repair_cmd; stm_cmd;
             stm_bench_cmd; machine_cmd; theorems_cmd; models_cmd; show_cmd;
             dot_cmd; check_cmd; export_cmd; shapes_cmd; fence_cmd; fuzz_cmd;
-            arch_cmd; bench_compare_cmd; serve_cmd; client_cmd; loadgen_cmd;
+            arch_cmd; serve_cmd; client_cmd; loadgen_cmd;
             cache_cmd;
           ]))

@@ -80,6 +80,3 @@ let consistent model t = ok (check model t)
 (* Axiom check that skips well-formedness; used by the enumerator, which
    guarantees well-formedness by construction plus a final scan. *)
 let consistent_axioms model ctx hb = ok (check_axioms model ctx hb)
-
-let consistent_axioms_rels model ~hb ~lwr ~xrw ~crw ~lww ~lrw =
-  ok (check_axioms_rels model ~hb ~lwr ~xrw ~crw ~lww ~lrw)

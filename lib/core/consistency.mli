@@ -43,13 +43,3 @@ val check_axioms_rels :
     before any linearization exists and supplies the lifted relations
     directly.  [well_formed] is reported as [true] without being
     checked. *)
-
-val consistent_axioms_rels :
-  Model.t ->
-  hb:Rel.t ->
-  lwr:Rel.t ->
-  xrw:Rel.t ->
-  crw:Rel.t ->
-  lww:Rel.t ->
-  lrw:Rel.t ->
-  bool

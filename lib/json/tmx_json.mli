@@ -1,7 +1,6 @@
 (** The project's one JSON codec: the cache's on-disk entries, the
-    serve/client wire protocol, the lint/SARIF/repair/fuzz reports and
-    every [BENCH_*.json] witness (written here, read back by
-    [bench/compare.ml]).
+    serve/client wire protocol, and the lint/SARIF/repair/fuzz,
+    stm-bench and loadgen reports.
 
     Self-contained by design — the project deliberately avoids external
     runtime dependencies.  Numbers are parsed as floats, which is exact

@@ -126,7 +126,7 @@ val bucket : int array -> int -> int
 
 val histogram_to_json : histogram -> Tmx_json.t
 (** [{"bounds": [...], "counts": [...]}], the one JSON rendering of a
-    histogram ([BENCH_stm.json] runs, the serve [stats] verb). *)
+    histogram ([tmx stm-bench] report runs, the serve [stats] verb). *)
 
 type snapshot = {
   lazy_stats : mode_stats;

@@ -183,6 +183,16 @@ let privatization_heavy ?(fenced = true) ~mode ~policy ~iters ~domains () =
 
 (* --- the harness ----------------------------------------------------- *)
 
+(* one domain per worker, on reset statistics: the wall time and the
+   statistics of exactly this run *)
+let run_workers workers =
+  Stm.reset_stats ();
+  let t0 = Clock.now_s () in
+  let ds = List.map (fun w -> Domain.spawn w) workers in
+  List.iter Domain.join ds;
+  let seconds = Clock.now_s () -. t0 in
+  (seconds, Stm.stats ())
+
 let stage ~workload ~mode ~policy_name ~policy ~domains ~iters =
   let workers =
     match workload with
@@ -192,11 +202,7 @@ let stage ~workload ~mode ~policy_name ~policy ~domains ~iters =
     | Privatization_heavy ->
         privatization_heavy ~mode ~policy ~iters ~domains ()
   in
-  Stm.reset_stats ();
-  let t0 = Clock.now_s () in
-  let ds = List.map (fun w -> Domain.spawn w) workers in
-  List.iter Domain.join ds;
-  let seconds = Clock.now_s () -. t0 in
+  let seconds, snapshot = run_workers workers in
   {
     workload = workload_name workload;
     mode = Stm.mode_name mode;
@@ -204,7 +210,7 @@ let stage ~workload ~mode ~policy_name ~policy ~domains ~iters =
     domains;
     ops = domains * iters;
     seconds;
-    snapshot = Stm.stats ();
+    snapshot;
   }
 
 let run (config : config) =
@@ -239,6 +245,38 @@ let abort_rate (s : Stm.snapshot) =
   let attempts = commits + v + l in
   if attempts = 0 then 0. else float_of_int (v + l) /. float_of_int attempts
 
+let commit_rate (seconds, s) =
+  let commits, _, _, _ = totals s in
+  float_of_int commits /. Float.max seconds 1e-9
+
+(* --- paired measurement ---------------------------------------------- *)
+
+(* One discarded warm-up run of the baseline, then [reps] rounds, each
+   running the baseline and every variant back to back; a round yields
+   one variant/baseline ratio per variant, and each variant's ratio is
+   the median over the rounds.  Pairing cancels the slow drift (GC state,
+   frequency scaling, a neighbour on a shared host) that a best-of-N over
+   independent runs cannot: measured unpaired, a percent-level fence
+   signal drowns in run-to-run variance and can even come out as a fence
+   that makes the code faster. *)
+let paired ~reps ~rate ~baseline variants =
+  let variants = Array.of_list variants in
+  let ratios = Array.map (fun _ -> Array.make reps 0.) variants in
+  let best = ref 0. in
+  ignore (rate baseline);
+  for round = 0 to reps - 1 do
+    let b = rate baseline in
+    best := Float.max !best b;
+    Array.iteri
+      (fun i v -> ratios.(i).(round) <- rate v /. Float.max b 1e-9)
+      variants
+  done;
+  let median a =
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  (!best, Array.to_list (Array.map median ratios))
+
 (* --- repair cost ------------------------------------------------------ *)
 
 (* The price of the §5 repair under load: the privatization workload
@@ -265,43 +303,32 @@ let repair_cost (config : config) =
   if not (List.mem Privatization_heavy config.workloads) then []
   else
     (* the regular stages are sized for the full grid; a percent-level
-       overhead needs longer runs and best-of-N to rise above scheduler
-       noise, so each variant runs scaled-up and keeps its best rate *)
-    let iters = config.iters * 25 and reps = 3 in
+       overhead needs longer runs, each fenced run paired with an
+       unfenced one *)
+    let iters = config.iters * 25 and reps = 5 in
     List.concat_map
       (fun mode ->
         List.map
           (fun (policy_name, policy) ->
-            let measure_once ~fenced =
-              let workers =
-                privatization_heavy ~fenced ~mode ~policy ~iters
-                  ~domains:config.domains ()
+            let fences = ref 0 in
+            let rate fenced =
+              let run =
+                run_workers
+                  (privatization_heavy ~fenced ~mode ~policy ~iters
+                     ~domains:config.domains ())
               in
-              Stm.reset_stats ();
-              let t0 = Clock.now_s () in
-              let ds = List.map (fun w -> Domain.spawn w) workers in
-              List.iter Domain.join ds;
-              let seconds = Clock.now_s () -. t0 in
-              let s = Stm.stats () in
-              let commits, _, _, _ = totals s in
-              (float_of_int commits /. Float.max seconds 1e-9, s.Stm.quiesces)
+              if fenced then fences := max !fences (snd run).Stm.quiesces;
+              commit_rate run
             in
-            let measure ~fenced =
-              List.fold_left
-                (fun (best, fences) _ ->
-                  let rate, f = measure_once ~fenced in
-                  (Float.max best rate, max fences f))
-                (0., 0)
-                (List.init reps (fun i -> i))
+            let unfenced_per_sec, ratios =
+              paired ~reps ~rate ~baseline:false [ true ]
             in
-            let fenced_per_sec, fences = measure ~fenced:true in
-            let unfenced_per_sec, _ = measure ~fenced:false in
             {
               workload = workload_name Privatization_heavy;
               mode = Stm.mode_name mode;
               policy = policy_name;
-              fences;
-              fenced_per_sec;
+              fences = !fences;
+              fenced_per_sec = unfenced_per_sec *. List.hd ratios;
               unfenced_per_sec;
             })
           config.policies)
@@ -370,51 +397,17 @@ let arch_fence_cost (config : config) =
      multi-domain runs put percent-level scheduler/GC variance on top of
      a percent-level signal *)
   let iters = config.iters * 25 * config.domains and reps = 9 in
-  let once ~fence =
-    let workers =
-      arch_fence_workload ~fence ~mode ~policy ~iters ~domains:1
-    in
-    Stm.reset_stats ();
-    let t0 = Clock.now_s () in
-    let ds = List.map (fun w -> Domain.spawn w) workers in
-    List.iter Domain.join ds;
-    let seconds = Clock.now_s () -. t0 in
-    let commits, _, _, _ = totals (Stm.stats ()) in
-    float_of_int commits /. Float.max seconds 1e-9
+  let rate fence =
+    commit_rate
+      (run_workers (arch_fence_workload ~fence ~mode ~policy ~iters ~domains:1))
   in
-  (* one discarded warm-up pass, then paired repetitions: each rep runs
-     the baseline and every fence variant back-to-back and contributes
-     one fenced/baseline ratio per architecture, and the reported
-     penalty comes from the median ratio.  Pairing cancels the
-     slow-drift (GC state, frequency scaling) that a best-of-N over
-     independent runs cannot — measured unpaired, the percent-level
-     fence signal drowns in ±5% run-to-run variance and even turns up
-     as a negative penalty *)
-  ignore (once ~fence:no_fence);
-  let ratios = Hashtbl.create 8 in
-  let best_baseline = ref 0. in
-  for _ = 1 to reps do
-    let baseline = once ~fence:no_fence in
-    best_baseline := Float.max !best_baseline baseline;
-    List.iter
-      (fun (arch, fence) ->
-        let r = once ~fence /. Float.max baseline 1e-9 in
-        Hashtbl.replace ratios arch
-          (r :: Option.value (Hashtbl.find_opt ratios arch) ~default:[]))
-      arch_fences
-  done;
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
+  let baseline, ratios =
+    paired ~reps ~rate ~baseline:no_fence (List.map snd arch_fences)
   in
-  let baseline = !best_baseline in
-  List.map
-    (fun (arch, fence) ->
-      let ratio =
-        if fence == no_fence then 1.
-        else median (Option.value (Hashtbl.find_opt ratios arch) ~default:[ 1. ])
-      in
+  List.map2
+    (fun (arch, fence) ratio ->
+      (* x86-TSO inserts nothing: its ratio is noise around 1 *)
+      let ratio = if fence == no_fence then 1. else ratio in
       {
         arch;
         workload = "read-mix";
@@ -422,7 +415,7 @@ let arch_fence_cost (config : config) =
         fenced_per_sec = baseline *. ratio;
         baseline_per_sec = baseline;
       })
-    arch_fences
+    arch_fences ratios
 
 let pp_arch_cost ppf c =
   Fmt.pf ppf
@@ -431,10 +424,9 @@ let pp_arch_cost ppf c =
     c.arch c.workload c.mode c.fenced_per_sec c.baseline_per_sec
     (100. *. arch_penalty c)
 
-(* The BENCH_arch.json document: the measured penalty runs plus the
-   machine-checked §6 claims the caller obtained from the arch table
-   sweep (tmx arch table --all --check). *)
-let arch_json ?(claims = []) (config : config) costs =
+(* The arch_fence_penalty document: the measured penalty runs.  The §6
+   claims themselves are checked by `tmx arch table --all --check`. *)
+let arch_json (config : config) costs =
   let run c =
     Tmx_json.(
       Obj
@@ -450,13 +442,12 @@ let arch_json ?(claims = []) (config : config) costs =
   Tmx_json.(
     to_string
       (Obj
-         ([
-            ("experiment", Str "arch_fence_penalty");
-            ("domains", int config.domains);
-            ("iters_per_domain", int (config.iters * 25 * config.domains));
-          ]
-         @ (if claims = [] then [] else [ ("claims", Obj claims) ])
-         @ [ ("runs", Arr (List.map run costs)) ])))
+         [
+           ("experiment", Str "arch_fence_penalty");
+           ("domains", int config.domains);
+           ("iters_per_domain", int (config.iters * 25 * config.domains));
+           ("runs", Arr (List.map run costs));
+         ]))
 
 let write_file file text =
   let oc = open_out file in
@@ -464,8 +455,8 @@ let write_file file text =
   output_char oc '\n';
   close_out oc
 
-let write_arch_json ?claims ~file config costs =
-  write_file file (arch_json ?claims config costs)
+let write_arch_json ~file config costs =
+  write_file file (arch_json config costs)
 
 let pp_fence_cost ppf (c : fence_cost) =
   Fmt.pf ppf
@@ -482,7 +473,7 @@ let pp_result ppf r =
     r.workload r.mode r.policy r.domains r.ops commits v l u
     r.snapshot.partial_aborts r.snapshot.quiesces r.snapshot.escalations
     r.seconds
-    (float_of_int commits /. Float.max r.seconds 1e-9)
+    (commit_rate (r.seconds, r.snapshot))
 
 let to_json ?(repair_cost = []) (config : config) results =
   let fence_cost (c : fence_cost) =
@@ -508,7 +499,7 @@ let to_json ?(repair_cost = []) (config : config) results =
           ("policy", Str r.policy);
           ("ops", int r.ops);
           ("seconds", Num r.seconds);
-          ("commits_per_sec", Num (float_of_int commits /. Float.max r.seconds 1e-9));
+          ("commits_per_sec", Num (commit_rate (r.seconds, r.snapshot)));
           ("commits", int commits);
           ("aborts", Obj [ ("validation", int v); ("lock", int l); ("user", int u) ]);
           ("abort_rate", Num (abort_rate r.snapshot));

@@ -59,10 +59,20 @@ val fence_overhead : fence_cost -> float
 (** [1 - fenced/unfenced] commit throughput — the price of the §5
     quiescence fence, the edit [tmx repair] inserts. *)
 
+val paired :
+  reps:int -> rate:('a -> float) -> baseline:'a -> 'a list -> float * float list
+(** [paired ~reps ~rate ~baseline variants] runs [rate baseline] once as
+    a discarded warm-up, then [reps] (at least 1) rounds of [rate
+    baseline] followed by [rate v] for each variant in order.  Returns
+    the best baseline rate and, per variant, the median of its
+    per-round variant/baseline ratios: the measurement both
+    {!repair_cost} and {!arch_fence_cost} make. *)
+
 val repair_cost : config -> fence_cost list
 (** Run the privatization workload with and without its quiescence
-    fence for every (mode, policy) of [config] — empty when the config
-    omits {!Privatization_heavy}. *)
+    fence for every (mode, policy) of [config], {!paired} with the
+    unfenced program as the baseline — empty when the config omits
+    {!Privatization_heavy}. *)
 
 val pp_fence_cost : Format.formatter -> fence_cost -> unit
 
@@ -83,27 +93,21 @@ val arch_penalty : arch_cost -> float
 (** [1 - fenced/baseline] commit throughput. *)
 
 val arch_fence_cost : config -> arch_cost list
-(** One entry per architecture on the read-mix microworkload, best of
-    three scaled-up runs against a shared unfenced baseline, using the
-    first mode and policy of [config]. *)
+(** One entry per architecture on the read-mix microworkload: each
+    fence variant {!paired} with the unfenced run (x86-TSO inserts no
+    fence, so its penalty is reported as 0), using the first mode and
+    policy of [config]. *)
 
 val pp_arch_cost : Format.formatter -> arch_cost -> unit
 
-val arch_json :
-  ?claims:(string * Tmx_json.t) list -> config -> arch_cost list -> string
-(** The BENCH_arch.json document ([experiment: "arch_fence_penalty"];
-    schema in EXPERIMENTS.md).  [claims] are the machine-checked §6
-    facts the caller obtained from the arch table sweep. *)
+val arch_json : config -> arch_cost list -> string
+(** The [tmx stm-bench --arch-out] document
+    ([experiment: "arch_fence_penalty"]; schema in EXPERIMENTS.md). *)
 
-val write_arch_json :
-  ?claims:(string * Tmx_json.t) list ->
-  file:string ->
-  config ->
-  arch_cost list ->
-  unit
+val write_arch_json : file:string -> config -> arch_cost list -> unit
 
 val to_json : ?repair_cost:fence_cost list -> config -> result list -> string
-(** The BENCH_stm.json document (schema in EXPERIMENTS.md); the
+(** The [tmx stm-bench -o] document (schema in EXPERIMENTS.md); the
     [repair_cost] entries land in a top-level ["repair_cost"] array. *)
 
 val write_json :

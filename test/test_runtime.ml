@@ -426,11 +426,11 @@ let test_stats_extended () =
   Alcotest.(check int) "legacy conflicts" 0 conflicts;
   Alcotest.(check int) "legacy user aborts" 1 ua
 
-(* --- the BENCH_stm.json writer ---------------------------------------- *)
+(* --- the stm-bench report ---------------------------------------------- *)
 
-(* bench-compare reads back every run's throughput and commit ratio and
-   each repair-cost entry's keys exactly as written; each run's retry
-   histogram counts its commits *)
+(* every run's throughput and abort rate and each repair-cost entry read
+   back exactly as written; each run's retry histogram counts its
+   commits *)
 let test_stm_bench_json () =
   let config =
     {
@@ -455,13 +455,9 @@ let test_stm_bench_json () =
   let j =
     Tb.parse_json "Stm_bench.to_json" (Stm_bench.to_json ~repair_cost:[ cost ] config results)
   in
-  let metrics =
-    match Tmx_bench_compare.Compare.metrics_of j with Ok ms -> ms | Error e -> Alcotest.fail e
-  in
-  let check key want =
-    match List.assoc_opt key metrics with
-    | Some v -> Alcotest.(check (float 0.)) key want v
-    | None -> Alcotest.failf "bench-compare reads no %S" key
+  let check what want k obj =
+    Alcotest.(check (float 0.)) what want
+      (Option.get (Tmx_json.to_float_opt (Tb.field k obj)))
   in
   let commits (s : Stm.snapshot) =
     s.lazy_stats.commits + s.eager_stats.commits + s.partial_stats.commits
@@ -469,18 +465,63 @@ let test_stm_bench_json () =
   in
   List.iter2
     (fun (r : Stm_bench.result) run ->
-      let key = Fmt.str "%s/%s/%s %s" r.workload r.mode r.policy in
+      let what = Fmt.str "%s/%s/%s %s" r.workload r.mode r.policy in
       let n = commits r.snapshot in
-      check (key "commits_per_sec") (float_of_int n /. Float.max r.seconds 1e-9);
-      check (key "commit_ratio") (1. -. Stm_bench.abort_rate r.snapshot);
+      check (what "commits_per_sec") (float_of_int n /. Float.max r.seconds 1e-9)
+        "commits_per_sec" run;
+      check (what "abort_rate") (Stm_bench.abort_rate r.snapshot) "abort_rate" run;
       let counts = Tb.items (Tb.field "counts" (Tb.field "retry_histogram" run)) in
       Alcotest.(check int) "retry histogram counts every commit" n
         (List.fold_left (fun acc c -> acc + Option.get (Tmx_json.to_int c)) 0 counts))
     results
     (Tb.items (Tb.field "runs" j));
-  check "repair_cost/lazy/spin fences" 3.;
-  check "repair_cost/lazy/spin fenced_per_sec" 900.;
-  check "repair_cost/lazy/spin fence_efficiency" (1. -. Stm_bench.fence_overhead cost)
+  match Tb.items (Tb.field "repair_cost" j) with
+  | [ entry ] ->
+      Alcotest.(check (list string)) "repair_cost keys"
+        [ "lazy"; "spin" ]
+        (List.map
+           (fun k -> Option.get (Tmx_json.to_str (Tb.field k entry)))
+           [ "mode"; "policy" ]);
+      check "repair_cost fences" 3. "fences" entry;
+      check "repair_cost fenced_per_sec" 900. "fenced_per_sec" entry;
+      check "repair_cost fence_overhead" (Stm_bench.fence_overhead cost)
+        "fence_overhead" entry
+  | entries -> Alcotest.failf "%d repair_cost entries" (List.length entries)
+
+(* The paired measurement behind repair_cost and arch_fence_cost, driven
+   by a scripted rate function: one warm-up run of the baseline, then
+   baseline-first rounds over the variants in order, and per variant the
+   median of the per-round ratios (not of the rates, and not the best
+   round). *)
+let test_paired () =
+  let calls = ref [] in
+  let script =
+    [
+      ("base", [ 1000.; 100.; 200.; 100. ]);
+      ("a", [ 90.; 190.; 50. ]);
+      ("b", [ 300.; 100.; 80. ]);
+    ]
+  in
+  let left = Hashtbl.create 3 in
+  List.iter (fun (k, rates) -> Hashtbl.replace left k rates) script;
+  let rate k =
+    calls := k :: !calls;
+    match Hashtbl.find left k with
+    | r :: rest ->
+        Hashtbl.replace left k rest;
+        r
+    | [] -> Alcotest.failf "%s run more often than scripted" k
+  in
+  let best, ratios =
+    Stm_bench.paired ~reps:3 ~rate ~baseline:"base" [ "a"; "b" ]
+  in
+  Alcotest.(check (list string)) "warm-up, then baseline-first rounds"
+    [ "base"; "base"; "a"; "b"; "base"; "a"; "b"; "base"; "a"; "b" ]
+    (List.rev !calls);
+  Alcotest.(check (float 0.)) "best baseline, warm-up discarded" 200. best;
+  (* a: 0.9, 0.95, 0.5; b: 3.0, 0.5, 0.8 *)
+  Alcotest.(check (list (float 1e-12))) "median ratio per variant" [ 0.9; 0.8 ]
+    ratios
 
 (* --- tracing --------------------------------------------------------- *)
 
@@ -578,6 +619,7 @@ let suite =
     Alcotest.test_case "budget escalation commits" `Slow test_budget_escalation;
     Alcotest.test_case "extended stats" `Quick test_stats_extended;
     Alcotest.test_case "stm-bench json" `Quick test_stm_bench_json;
+    Alcotest.test_case "stm-bench paired ratios" `Quick test_paired;
     Alcotest.test_case "trace events" `Quick test_trace_events;
     Alcotest.test_case "trace ring wrap" `Slow test_trace_ring_wrap;
   ]
