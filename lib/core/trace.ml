@@ -29,24 +29,34 @@ let thread t i = t.events.(i).Action.thread
 let locs t = t.locs
 
 (* Scan the sequence assigning each event to the open transaction of its
-   thread, WF5-style: a resolution closes the latest open begin. *)
+   thread, WF5-style: a resolution closes the latest open begin.  The
+   thread's open transaction before position i is read off its previous
+   event p: p itself after a Begin, none after a resolution, else p's
+   own transaction. *)
+let rec previous events thread p =
+  if p < 0 || events.(p).Action.thread = thread then p else previous events thread (p - 1)
+
 let analyze events =
   let n = Array.length events in
   let txn_of = Array.make n (-1) in
   let resolution_of = Array.make n (-1) in
-  let open_txn = Hashtbl.create 8 in
   for i = 0 to n - 1 do
     let { Action.thread; act } = events.(i) in
-    let current = Option.value (Hashtbl.find_opt open_txn thread) ~default:(-1) in
-    (match act with
-    | Action.Begin ->
-        txn_of.(i) <- i;
-        Hashtbl.replace open_txn thread i
+    let p = previous events thread (i - 1) in
+    let current =
+      if p < 0 then -1
+      else
+        match events.(p).Action.act with
+        | Action.Begin -> p
+        | Action.Commit | Action.Abort -> -1
+        | Action.Write _ | Action.Read _ | Action.Qfence _ -> txn_of.(p)
+    in
+    match act with
+    | Action.Begin -> txn_of.(i) <- i
     | Action.Commit | Action.Abort ->
         txn_of.(i) <- current;
-        if current >= 0 then resolution_of.(current) <- i;
-        Hashtbl.remove open_txn thread
-    | Action.Write _ | Action.Read _ | Action.Qfence _ -> txn_of.(i) <- current)
+        if current >= 0 then resolution_of.(current) <- i
+    | Action.Write _ | Action.Read _ | Action.Qfence _ -> txn_of.(i) <- current
   done;
   let txn_status =
     Array.init n (fun i ->
@@ -63,10 +73,11 @@ let analyze events =
   in
   (txn_of, resolution_of, txn_status)
 
-let of_events ~locs events =
-  let events = Array.of_list events in
+let of_array ~locs events =
   let txn_of, resolution_of, txn_status = analyze events in
   { events; locs; txn_of; resolution_of; txn_status }
+
+let of_events ~locs events = of_array ~locs (Array.of_list events)
 
 let init_events locs =
   ({ Action.thread = Action.init_thread; act = Action.Begin }
@@ -154,11 +165,16 @@ let rel_ww t =
 
 (* a wr b: the read b returns the value the write a wrote, at a's
    location and timestamp.  The one definition of reads-from: [rel_wr],
-   [wr_source] and with it WF6–WF11 all test it. *)
+   [wr_source] and with it WF6–WF11 all test it.  [is_source ~loc ~value
+   ~ts a] holds when the action [a] is the write that a read of [value]
+   from [loc] at [ts] reads from. *)
+let is_source ~loc ~value ~ts = function
+  | Action.Write w -> w.value = value && Rat.equal w.ts ts && String.equal w.loc loc
+  | _ -> false
+
 let reads_from t a b =
-  match (act t a, act t b) with
-  | Action.Write w, Action.Read r ->
-      String.equal w.loc r.loc && w.value = r.value && Rat.equal w.ts r.ts
+  match act t b with
+  | Action.Read { loc; value; ts } -> is_source ~loc ~value ~ts (act t a)
   | _ -> false
 
 let rel_wr t =
@@ -179,10 +195,16 @@ let rel_rw t ~wr ~ww =
   Rel.restrict ~dst:(is_nonaborted t) (Rel.compose (Rel.converse wr) ww)
 
 let wr_source t b =
-  let rec go a =
-    if a >= length t then None else if reads_from t a b then Some a else go (a + 1)
-  in
-  go 0
+  match act t b with
+  | Action.Read { loc; value; ts } ->
+      let n = length t in
+      let rec go a =
+        if a >= n then None
+        else if is_source ~loc ~value ~ts (act t a) then Some a
+        else go (a + 1)
+      in
+      go 0
+  | _ -> None
 
 (* -- whole-trace queries ------------------------------------------------- *)
 
@@ -195,20 +217,41 @@ let writes_to t x =
   done;
   !acc
 
-(* Final value: the nonaborted write with the greatest timestamp. *)
+(* Final values, in one scan: per location of [xs], the position of the
+   nonaborted write with the greatest timestamp (the first of equal
+   ones), or -1 where no nonaborted write is; and the lookup from a
+   location to its slot (its first occurrence in [xs]). *)
+let final_writes t xs =
+  let names = Array.of_list xs in
+  let k = Array.length names in
+  let slot x =
+    let rec go j = if j >= k then -1 else if String.equal names.(j) x then j else go (j + 1) in
+    go 0
+  in
+  let ts_at i = match act t i with Action.Write w -> w.ts | _ -> assert false in
+  let best = Array.make k (-1) in
+  for i = 0 to length t - 1 do
+    match act t i with
+    | Action.Write { loc; ts; _ } when is_nonaborted t i ->
+        let j = slot loc in
+        if j >= 0 && (best.(j) < 0 || Rat.lt (ts_at best.(j)) ts) then best.(j) <- i
+    | _ -> ()
+  done;
+  (slot, best)
+
+let value_at t i = match act t i with Action.Write w -> w.value | _ -> assert false
+
 let final_value t x =
-  let best = ref None in
-  List.iter
-    (fun i ->
-      if is_nonaborted t i then
-        match act t i with
-        | Action.Write { ts; value; _ } -> (
-            match !best with
-            | Some (ts', _) when Rat.leq ts ts' -> ()
-            | _ -> best := Some (ts, value))
-        | _ -> ())
-    (writes_to t x);
-  Option.map snd !best
+  let _, best = final_writes t [ x ] in
+  if best.(0) < 0 then None else Some (value_at t best.(0))
+
+let final_memory t xs =
+  let slot, best = final_writes t xs in
+  List.map
+    (fun x ->
+      let b = best.(slot x) in
+      (x, if b < 0 then 0 else value_at t b))
+    xs
 
 (* Transaction b is contiguous (§4): a foreign event strictly inside the
    transaction's span forces either the resolution to occur before it, or
@@ -246,10 +289,7 @@ let sub t keep =
 (* Theorem 4.2: drop all events of aborted transactions. *)
 let drop_aborted t = sub t (fun i -> not (is_aborted t i))
 
-let permute t perm =
-  let events = Array.map (fun old -> t.events.(old)) perm in
-  let txn_of, resolution_of, txn_status = analyze events in
-  { events; locs = t.locs; txn_of; resolution_of; txn_status }
+let permute t perm = of_array ~locs:t.locs (Array.map (fun old -> t.events.(old)) perm)
 
 let is_order_preserving t perm =
   (* po is preserved iff each thread's subsequence of events is unchanged. *)

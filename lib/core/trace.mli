@@ -19,7 +19,21 @@ val make : locs:string list -> Action.event list -> t
 
 val of_events : locs:string list -> Action.event list -> t
 (** A raw trace with no implicit initializing transaction.  Used to build
-    deliberately ill-formed traces in tests. *)
+    deliberately ill-formed traces in tests, and by the verdict cache to
+    rebuild a stored trace (whose events include the initializing
+    transaction). *)
+
+val of_array : locs:string list -> Action.event array -> t
+(** [of_events] over an array the caller has already filled, taken
+    without a copy: the trace owns it, so the caller must not mutate it
+    afterwards.  The enumerator builds every emitted trace this way,
+    initializing transaction included.
+
+    Cost: building a trace of [n] events is one scan that assigns each
+    event its transaction and resolution status from its thread's
+    previous event, three [n]-element arrays and O(n) time when threads
+    interleave closely (O(n²) at worst); nothing is hashed.  Relations ([rel_*]) and
+    whole-trace queries are computed on demand and not cached. *)
 
 val init_events : string list -> Action.event list
 (** The events of the WF1 initializing transaction. *)
@@ -88,6 +102,11 @@ val writes_to : t -> string -> int list
 
 val final_value : t -> string -> int option
 (** The value of the nonaborted write with the greatest timestamp. *)
+
+val final_memory : t -> string list -> (string * int) list
+(** [final_memory t xs] pairs each location of [xs] with its
+    [final_value], [0] where it has none: the final memory of an
+    outcome, found in one scan of the trace. *)
 
 val txn_contiguous : t -> int -> bool
 val all_txns_contiguous : t -> bool

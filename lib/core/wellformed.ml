@@ -29,146 +29,132 @@ let pp_violation ppf = function
   | WF11_same_txn_order (b, c) -> Fmt.pf ppf "WF11: read %d obscured by same-txn %d" b c
   | WF12_fence_overlap (b, q) -> Fmt.pf ppf "WF12: txn %d overlaps fence %d" b q
 
-let check_wf1 t acc =
+(* WF1: the trace opens with the initializing transaction — a Begin of
+   the init thread, one write of 0 at timestamp 0 to each location, each
+   location once, then a Commit — and the init thread never acts
+   again. *)
+let wf1_holds t =
   let locs = Trace.locs t in
-  let expected = List.length locs + 2 in
-  let ok =
-    Trace.length t >= expected
-    && Action.is_begin (Trace.act t 0)
-    && Trace.is_init t 0
-    && (let seen = Hashtbl.create 8 in
-        let rec writes i =
-          if i > List.length locs then true
-          else
-            match Trace.act t i with
-            | Action.Write { loc; value = 0; ts } when Rat.equal ts Rat.zero ->
-                if Hashtbl.mem seen loc then false
-                else begin
-                  Hashtbl.add seen loc ();
-                  writes (i + 1)
-                end
-            | _ -> false
-        in
-        writes 1 && List.for_all (Hashtbl.mem seen) locs)
-    && Trace.act t (List.length locs + 1) = Action.Commit
-    &&
-    (* the init thread never acts again *)
-    let rec no_more i =
-      i >= Trace.length t || ((not (Trace.is_init t i)) && no_more (i + 1))
-    in
-    no_more expected
-  in
-  if ok then acc else WF1_no_init :: acc
-
-let check_wf3 t acc =
-  let acc = ref acc in
+  let nl = List.length locs in
   let n = Trace.length t in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      match (Trace.act t i, Trace.act t j) with
-      | Action.Write a, Action.Write b
-        when String.equal a.loc b.loc && Rat.equal a.ts b.ts ->
-          acc := WF3_duplicate_timestamp (i, j) :: !acc
-      | _ -> ()
-    done
-  done;
-  !acc
-
-(* WF4/WF5: resolutions match an open begin; begins do not nest.  We
-   rescan rather than trusting [Trace]'s analysis, which silently repairs
-   both defects. *)
-let check_brackets t acc =
-  let acc = ref acc in
-  let open_txn = Hashtbl.create 8 in
-  for i = 0 to Trace.length t - 1 do
-    let th = Trace.thread t i in
+  let init_write i =
     match Trace.act t i with
-    | Action.Begin ->
-        if Hashtbl.mem open_txn th then acc := WF5_nested_begin i :: !acc;
-        Hashtbl.replace open_txn th i
+    | Action.Write { value = 0; ts; _ } -> Rat.equal ts Rat.zero
+    | _ -> false
+  in
+  (* only read once positions 1..nl are known to be writes *)
+  let loc_at i = match Trace.act t i with Action.Write { loc; _ } -> loc | _ -> "" in
+  let rec writes i = i > nl || (init_write i && writes (i + 1)) in
+  let rec distinct i =
+    i > nl
+    ||
+    let x = loc_at i in
+    let rec fresh k = k >= i || ((not (String.equal (loc_at k) x)) && fresh (k + 1)) in
+    fresh 1 && distinct (i + 1)
+  in
+  let covered x =
+    let rec go k = k <= nl && (String.equal (loc_at k) x || go (k + 1)) in
+    go 1
+  in
+  let rec no_more i = i >= n || ((not (Trace.is_init t i)) && no_more (i + 1)) in
+  n >= nl + 2
+  && Action.is_begin (Trace.act t 0)
+  && Trace.is_init t 0
+  && writes 1
+  && distinct 1
+  && List.for_all covered locs
+  && (match Trace.act t (nl + 1) with Action.Commit -> true | _ -> false)
+  && no_more (nl + 2)
+
+(* WF3–WF12 in one pass over the positions.  Each position checks the
+   conditions it is the subject of: a write its later duplicates (WF3)
+   and, when transactional, the earlier committed-or-live writes it is
+   ww-before (WF9); a resolution or Begin its bracket (WF4/WF5); a read
+   its source, found once (WF6–WF8), and, when transactional, the
+   earlier writes that obscure it (WF10/WF11); a fence the transactions
+   it overlaps (WF12).  Coherence is read off the timestamps (a ww c iff
+   same location and ts a < ts c), not a materialized relation.  Each
+   group of conditions keeps its own list, so the result has the order
+   of a scan per group: WF1, WF3, WF4/WF5, WF6–WF8, WF9–WF11, WF12. *)
+let violations t =
+  let n = Trace.length t in
+  (* WF4/WF5 are rescanned rather than read off [Trace]'s analysis,
+     which silently repairs both defects: a thread has an open
+     transaction before position i when its latest Begin or resolution
+     before i is a Begin *)
+  let open_before i =
+    let th = Trace.thread t i in
+    let rec go p =
+      p >= 0
+      &&
+      if Trace.thread t p <> th then go (p - 1)
+      else
+        match Trace.act t p with
+        | Action.Begin -> true
+        | Action.Commit | Action.Abort -> false
+        | Action.Write _ | Action.Read _ | Action.Qfence _ -> go (p - 1)
+    in
+    go (i - 1)
+  in
+  let wf3 = ref [] and brackets = ref [] and reads = ref [] in
+  let interleavings = ref [] and wf12 = ref [] in
+  for i = 0 to n - 1 do
+    match Trace.act t i with
+    | Action.Begin -> if open_before i then brackets := WF5_nested_begin i :: !brackets
     | Action.Commit | Action.Abort ->
-        if not (Hashtbl.mem open_txn th) then
-          acc := WF4_unmatched_resolution i :: !acc;
-        Hashtbl.remove open_txn th
-    | _ -> ()
-  done;
-  !acc
-
-let check_reads t acc =
-  let acc = ref acc in
-  for b = 0 to Trace.length t - 1 do
-    if Action.is_read (Trace.act t b) then
-      match Trace.wr_source t b with
-      | None -> acc := WF6_unfulfilled_read b :: !acc
-      | Some a ->
-          if a > b then acc := WF8_read_from_future (a, b) :: !acc;
-          if
-            Trace.is_transactional t a
-            && Trace.status t a <> Some Trace.Committed
-            && not (Trace.same_txn t a b)
-          then acc := WF7_aborted_source (a, b) :: !acc
-  done;
-  !acc
-
-let check_interleavings t acc =
-  let acc = ref acc in
-  let ww = Trace.rel_ww t in
-  let n = Trace.length t in
-  for b = 0 to n - 1 do
-    if Trace.is_transactional t b then begin
-      (* WF9: a transactional write may not be ww-before an earlier
-         committed-or-live transactional write. *)
-      if Action.is_write (Trace.act t b) then
-        for c = 0 to b - 1 do
-          if Rel.mem ww b c && Trace.is_committed_or_live_txn t c then
-            acc := WF9_txn_write_order (b, c) :: !acc
+        if not (open_before i) then brackets := WF4_unmatched_resolution i :: !brackets
+    | Action.Write { loc; ts; _ } ->
+        for j = i + 1 to n - 1 do
+          match Trace.act t j with
+          | Action.Write w when Rat.equal w.ts ts && String.equal w.loc loc ->
+              wf3 := WF3_duplicate_timestamp (i, j) :: !wf3
+          | _ -> ()
         done;
-      if Action.is_read (Trace.act t b) then
-        match Trace.wr_source t b with
-        | None -> ()
+        (* WF9: a transactional write may not be ww-before an earlier
+           committed-or-live transactional write *)
+        if Trace.is_transactional t i then
+          for c = 0 to i - 1 do
+            match Trace.act t c with
+            | Action.Write w
+              when Rat.lt ts w.ts && String.equal w.loc loc
+                   && Trace.is_committed_or_live_txn t c ->
+                interleavings := WF9_txn_write_order (i, c) :: !interleavings
+            | _ -> ()
+          done
+    | Action.Read { loc; ts; _ } -> (
+        match Trace.wr_source t i with
+        | None -> reads := WF6_unfulfilled_read i :: !reads
         | Some a ->
-            for c = 0 to b - 1 do
-              if Rel.mem ww a c then begin
-                (* WF10: transactional source obscured by an earlier
-                   committed-or-live write. *)
-                if
-                  Trace.is_transactional t a
-                  && Trace.is_committed_or_live_txn t c
-                then acc := WF10_txn_read_order (b, c) :: !acc;
-                (* WF11: source obscured by an earlier same-transaction
-                   write. *)
-                if Trace.same_txn t c b && c <> b then
-                  acc := WF11_same_txn_order (b, c) :: !acc
-              end
-            done
-    end
-  done;
-  !acc
-
-let check_wf12 t acc =
-  let acc = ref acc in
-  let n = Trace.length t in
-  for q = 0 to n - 1 do
-    match Trace.act t q with
+            if a > i then reads := WF8_read_from_future (a, i) :: !reads;
+            let a_txn = Trace.is_transactional t a in
+            if a_txn && Trace.status t a <> Some Trace.Committed && not (Trace.same_txn t a i)
+            then reads := WF7_aborted_source (a, i) :: !reads;
+            (* the source has the read's location and timestamp, so
+               a ww c iff c writes there later in coherence *)
+            if Trace.is_transactional t i then
+              for c = 0 to i - 1 do
+                match Trace.act t c with
+                | Action.Write w when Rat.lt ts w.ts && String.equal w.loc loc ->
+                    (* WF10: transactional source obscured by an earlier
+                       committed-or-live write *)
+                    if a_txn && Trace.is_committed_or_live_txn t c then
+                      interleavings := WF10_txn_read_order (i, c) :: !interleavings;
+                    (* WF11: source obscured by an earlier same-transaction
+                       write *)
+                    if Trace.same_txn t c i then
+                      interleavings := WF11_same_txn_order (i, c) :: !interleavings
+                | _ -> ()
+              done)
     | Action.Qfence x ->
-        for b = 0 to q - 1 do
+        for b = 0 to i - 1 do
           if Action.is_begin (Trace.act t b) && Trace.txn_touches t b x then
             match Trace.resolution_of_txn t b with
-            | Some r when r < q -> ()
-            | _ -> acc := WF12_fence_overlap (b, q) :: !acc
+            | Some r when r < i -> ()
+            | _ -> wf12 := WF12_fence_overlap (b, i) :: !wf12
         done
-    | _ -> ()
   done;
-  !acc
-
-let violations t =
-  []
-  |> check_wf1 t
-  |> check_wf3 t
-  |> check_brackets t
-  |> check_reads t
-  |> check_interleavings t
-  |> check_wf12 t
-  |> List.rev
+  (if wf1_holds t then [] else [ WF1_no_init ])
+  @ List.rev !wf3 @ List.rev !brackets @ List.rev !reads @ List.rev !interleavings
+  @ List.rev !wf12
 
 let is_well_formed t = violations t = []

@@ -17,5 +17,17 @@ type violation =
   | WF12_fence_overlap of int * int
 
 val pp_violation : violation Fmt.t
+
 val violations : Trace.t -> violation list
+(** Every violation, grouped in this order — WF1; WF3; WF4/WF5; WF6–WF8;
+    WF9–WF11; WF12 — and by position within each group.
+
+    Cost: one pass over the [n] positions.  Each read's source is found
+    once ({!Trace.wr_source}, O(n)); coherence is compared on the
+    timestamps, so no relation is built; WF3, WF9 and WF10/WF11 scan the
+    other writes of a write or transactional read, so the pass is O(n²)
+    time in the worst case; WF4/WF5 look back from each Begin and
+    resolution to its thread's previous one.  A well-formed trace
+    allocates nothing but a few closures. *)
+
 val is_well_formed : Trace.t -> bool

@@ -20,46 +20,43 @@ type gevent = {
   aborted : bool; (* in an aborted transaction *)
 }
 
+(* The flattened events, one block per thread in thread order, with
+   transaction membership (the latest open Begin of the thread, WF5's
+   matching) and aborted status; and the thread offsets: thread i's
+   block is [offsets.(i), offsets.(i + 1)). *)
 let build_events (paths : Proto.path list) =
-  let protos =
-    List.concat
-      (List.mapi
-         (fun i (p : Proto.path) ->
-           List.map (fun pr -> (i, pr)) p.protos)
-         paths)
-  in
+  let offsets = Array.make (List.length paths + 1) 0 in
+  List.iteri
+    (fun i (p : Proto.path) -> offsets.(i + 1) <- offsets.(i) + List.length p.protos)
+    paths;
   let events =
     Array.of_list
-      (List.map (fun (thread, proto) -> { thread; proto; txn = -1; aborted = false }) protos)
+      (List.concat
+         (List.mapi
+            (fun thread (p : Proto.path) ->
+              List.map (fun proto -> { thread; proto; txn = -1; aborted = false }) p.protos)
+            paths))
   in
-  (* transaction membership + status, per thread *)
   let n = Array.length events in
-  let open_txn = Hashtbl.create 8 in
+  let open_txn = ref (-1) in
   for i = 0 to n - 1 do
     let e = events.(i) in
+    if i = 0 || events.(i - 1).thread <> e.thread then open_txn := -1;
     match e.proto with
     | Proto.PBegin ->
-        Hashtbl.replace open_txn e.thread i;
+        open_txn := i;
         events.(i) <- { e with txn = i }
     | Proto.PCommit | Proto.PAbort ->
-        let b = Option.value (Hashtbl.find_opt open_txn e.thread) ~default:(-1) in
-        events.(i) <- { e with txn = b };
-        Hashtbl.remove open_txn e.thread
-    | _ ->
-        let b = Option.value (Hashtbl.find_opt open_txn e.thread) ~default:(-1) in
-        events.(i) <- { e with txn = b }
+        events.(i) <- { e with txn = !open_txn };
+        open_txn := -1
+    | _ -> events.(i) <- { e with txn = !open_txn }
   done;
-  (* mark aborted transactions *)
-  let aborted_txns = Hashtbl.create 8 in
+  let aborted = Array.make n false in
   Array.iter
     (fun e ->
-      match e.proto with
-      | Proto.PAbort when e.txn >= 0 -> Hashtbl.replace aborted_txns e.txn ()
-      | _ -> ())
+      match e.proto with Proto.PAbort when e.txn >= 0 -> aborted.(e.txn) <- true | _ -> ())
     events;
-  Array.map
-    (fun e -> { e with aborted = e.txn >= 0 && Hashtbl.mem aborted_txns e.txn })
-    events
+  (Array.map (fun e -> { e with aborted = e.txn >= 0 && aborted.(e.txn) }) events, offsets)
 
 (* -- small combinatorics helpers ----------------------------------------- *)
 
@@ -104,10 +101,16 @@ type t = {
   reads : int list;
   fences : int list;
   writes_to : (string, int list) Hashtbl.t;
+  offsets : int array; (* thread i's events: [offsets.(i), offsets.(i + 1)) *)
+  po_pred : int array; (* program-order predecessor, -1 for a thread's first *)
+  resolution : int array; (* per Begin: its PCommit/PAbort, else -1 *)
+  loc_writes : int array array; (* per read: its location's writes; [||] else *)
+  emitted : Action.event array array; (* per event, per timestamp: the trace event *)
+  regs : (string * int) list array; (* Outcome.registers of the paths' envs *)
 }
 
 let prepare (paths : Proto.path list) =
-  let ev = build_events paths in
+  let ev, offsets = build_events paths in
   let n = Array.length ev in
   let reads = ref [] and fences = ref [] in
   let writes_to = Hashtbl.create 8 in
@@ -119,7 +122,60 @@ let prepare (paths : Proto.path list) =
     | Proto.PQfence _ -> fences := i :: !fences
     | _ -> ()
   done;
-  { paths; ev; reads = !reads; fences = !fences; writes_to }
+  let po_pred =
+    Array.init n (fun i -> if i > 0 && ev.(i - 1).thread = ev.(i).thread then i - 1 else -1)
+  in
+  let resolution = Array.make n (-1) in
+  Array.iteri
+    (fun i e ->
+      match e.proto with
+      | (Proto.PCommit | Proto.PAbort) when e.txn >= 0 && resolution.(e.txn) < 0 ->
+          resolution.(e.txn) <- i
+      | _ -> ())
+    ev;
+  let loc_writes =
+    Array.map
+      (fun e ->
+        match e.proto with
+        | Proto.PRead (x, _) ->
+            Array.of_list (Option.value (Hashtbl.find_opt writes_to x) ~default:[])
+        | _ -> [||])
+      ev
+  in
+  (* each event as a trace event, once per timestamp it can take: a
+     write's position in its location's coherence order (1-based), a
+     read's source's (0 for the initial value) *)
+  let stamps = Array.init (n + 1) Rat.of_int in
+  let emitted =
+    Array.map
+      (fun e ->
+        let event act = { Action.thread = e.thread; act } in
+        let per_stamp x mk =
+          let m = List.length (Option.value (Hashtbl.find_opt writes_to x) ~default:[]) in
+          Array.init (m + 1) (fun k -> event (mk stamps.(k)))
+        in
+        match e.proto with
+        | Proto.PWrite (x, v) -> per_stamp x (fun ts -> Action.Write { loc = x; value = v; ts })
+        | Proto.PRead (x, v) -> per_stamp x (fun ts -> Action.Read { loc = x; value = v; ts })
+        | Proto.PBegin -> [| event Action.Begin |]
+        | Proto.PCommit -> [| event Action.Commit |]
+        | Proto.PAbort -> [| event Action.Abort |]
+        | Proto.PQfence x -> [| event (Action.Qfence x) |])
+      ev
+  in
+  {
+    paths;
+    ev;
+    reads = !reads;
+    fences = !fences;
+    writes_to;
+    offsets;
+    po_pred;
+    resolution;
+    loc_writes;
+    emitted;
+    regs = Outcome.registers (List.map (fun (p : Proto.path) -> p.env) paths);
+  }
 
 let writes_of combo x = Option.value (Hashtbl.find_opt combo.writes_to x) ~default:[]
 
@@ -199,17 +255,7 @@ let estimated_graphs combo =
 
 (* the resolution (Commit or Abort) of transaction [b], if any *)
 let resolution_of combo b =
-  let ev = combo.ev in
-  let n = Array.length ev in
-  let rec go i =
-    if i >= n then None
-    else if
-      ev.(i).txn = b
-      && (ev.(i).proto = Proto.PCommit || ev.(i).proto = Proto.PAbort)
-    then Some i
-    else go (i + 1)
-  in
-  go 0
+  if b >= 0 && combo.resolution.(b) >= 0 then Some combo.resolution.(b) else None
 
 (* -- one candidate graph, as the choices that pick it out ----------------- *)
 
@@ -231,25 +277,20 @@ type selection = {
    keep the open transaction contiguous.  [None] when the constraints
    are cyclic (the candidate has no well-formed linearization).  Every
    produced trace is re-checked against the full well-formedness scan; a
-   violation raises, as an enumerator-bug detector. *)
+   violation raises, as an enumerator-bug detector.
+
+   Everything here is an int array indexed by combo event, filled from
+   the selection and the per-combo tables of [prepare]; a write's
+   timestamp is its 1-based position in its location's chosen coherence
+   order, and a read's is its source's (0 for the initial value). *)
 let linearize ~locs combo { rf_sel; ww_sel; fence_sel } =
   let ev = combo.ev in
   let n = Array.length ev in
-  (* timestamps: position in the chosen coherence order *)
-  let ts_of_write = Hashtbl.create 16 in
-  List.iter
-    (fun (_x, perm) ->
-      List.iteri
-        (fun k j -> Hashtbl.replace ts_of_write j (Rat.of_int (k + 1)))
-        perm)
-    ww_sel;
-  let rf = Hashtbl.create 16 in
-  List.iter (fun (r, w) -> Hashtbl.replace rf r w) rf_sel;
-  let ts_of_read r =
-    match Hashtbl.find rf r with
-    | -1 -> Rat.zero
-    | w -> Hashtbl.find ts_of_write w
-  in
+  let co = Array.make n 0 in
+  List.iter (fun (_x, perm) -> List.iteri (fun k j -> co.(j) <- k + 1) perm) ww_sel;
+  let src = Array.make n (-1) in
+  List.iter (fun (r, w) -> src.(r) <- w) rf_sel;
+  let ts_of_read r = if src.(r) < 0 then 0 else co.(src.(r)) in
   (* WF-derived ordering constraints *)
   let succs = Array.make n [] in
   let indeg = Array.make n 0 in
@@ -258,29 +299,19 @@ let linearize ~locs combo { rf_sel; ww_sel; fence_sel } =
     indeg.(b) <- indeg.(b) + 1
   in
   (* program order: consecutive events of each thread *)
-  let last_of_thread = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    (match Hashtbl.find_opt last_of_thread ev.(i).thread with
-    | Some j -> edge j i
-    | None -> ());
-    Hashtbl.replace last_of_thread ev.(i).thread i
-  done;
+  Array.iteri (fun i p -> if p >= 0 then edge p i) combo.po_pred;
   (* reads-from (WF8) *)
   List.iter (fun (r, w) -> if w >= 0 then edge w r) rf_sel;
   (* WF9: transactional write before any coherence-later committed
      transactional write *)
-  List.iter
-    (fun (_x, perm) ->
-      let parr = Array.of_list perm in
-      let m = Array.length parr in
-      for i = 0 to m - 1 do
-        for j = i + 1 to m - 1 do
-          let b = parr.(i) and c = parr.(j) in
-          if ev.(b).txn >= 0 && ev.(c).txn >= 0 && not ev.(c).aborted then
-            edge b c
-        done
-      done)
-    ww_sel;
+  let rec wf9 = function
+    | [] -> ()
+    | b :: later ->
+        if ev.(b).txn >= 0 then
+          List.iter (fun c -> if ev.(c).txn >= 0 && not ev.(c).aborted then edge b c) later;
+        wf9 later
+  in
+  List.iter (fun (_x, perm) -> wf9 perm) ww_sel;
   (* WF10/WF11: a read before any write that obscures its source
      (committed-foreign for transactional sources, same-transaction
      always) *)
@@ -291,86 +322,86 @@ let linearize ~locs combo { rf_sel; ww_sel; fence_sel } =
         (* the initializing write is transactional (committed), like any
            other member of the initializing transaction *)
         let src_is_txn = w = -1 || ev.(w).txn >= 0 in
-        let x =
-          match ev.(r).proto with
-          | Proto.PRead (x, _) -> x
-          | _ -> assert false
-        in
-        List.iter
+        Array.iter
           (fun c ->
-            if Rat.lt src_ts (Hashtbl.find ts_of_write c) then begin
-              if src_is_txn && ev.(c).txn >= 0 && not ev.(c).aborted then
-                edge r c;
+            if src_ts < co.(c) then begin
+              if src_is_txn && ev.(c).txn >= 0 && not ev.(c).aborted then edge r c;
               if same_txn ev r c then edge r c
             end)
-          (writes_of combo x)
+          combo.loc_writes.(r)
       end)
     rf_sel;
   (* fence choices (WF12) *)
   List.iter
     (fun ((q, b), choice) ->
       match choice with
-      | Commit_before -> (
+      | Commit_before ->
           (* resolution of txn b before fence q *)
-          match resolution_of combo b with
-          | Some r -> edge r q
-          | None -> ())
+          if combo.resolution.(b) >= 0 then edge combo.resolution.(b) q
       | Fence_before -> edge q b)
     fence_sel;
-  (* topological sort, preferring to keep the currently open
-     transaction contiguous *)
-  let emitted = Array.make n false in
-  let order = ref [] in
-  let count = ref 0 in
+  (* topological sort: the first available event of the currently open
+     transaction, else the first available event; every event below
+     [lo] is placed *)
+  let order = Array.make n 0 in
+  let placed = Array.make n false in
+  let rec release = function
+    | [] -> ()
+    | j :: rest ->
+        indeg.(j) <- indeg.(j) - 1;
+        release rest
+  in
+  let count = ref 0 and lo = ref 0 in
   let current_txn = ref (-1) in
   let ok = ref true in
   while !ok && !count < n do
-    (* candidate: available event, prefer same txn *)
-    let pick = ref (-1) in
-    (try
-       for i = 0 to n - 1 do
-         if (not emitted.(i)) && indeg.(i) = 0 then begin
-           if !pick = -1 then pick := i;
-           if !current_txn >= 0 && ev.(i).txn = !current_txn then begin
-             pick := i;
-             raise Exit
-           end
-         end
-       done
-     with Exit -> ());
+    while placed.(!lo) do
+      incr lo
+    done;
+    let pick = ref (-1) and i = ref !lo in
+    while !i < n do
+      let k = !i in
+      if (not placed.(k)) && indeg.(k) = 0 then begin
+        if !pick = -1 then pick := k;
+        if !current_txn < 0 then i := n
+        else if ev.(k).txn = !current_txn then begin
+          pick := k;
+          i := n
+        end
+      end;
+      incr i
+    done;
     if !pick = -1 then ok := false
     else begin
-      let i = !pick in
-      emitted.(i) <- true;
+      let k = !pick in
+      placed.(k) <- true;
+      order.(!count) <- k;
       incr count;
-      order := i :: !order;
-      (match ev.(i).proto with
-      | Proto.PBegin -> current_txn := i
+      (match ev.(k).proto with
+      | Proto.PBegin -> current_txn := k
       | Proto.PCommit | Proto.PAbort -> current_txn := -1
       | _ -> ());
-      List.iter (fun j -> indeg.(j) <- indeg.(j) - 1) succs.(i)
+      release succs.(k)
     end
   done;
   if not !ok then None
   else begin
-    let order = List.rev !order in
-    let to_action i =
-      let open Action in
-      match ev.(i).proto with
-      | Proto.PWrite (x, v) ->
-          Write { loc = x; value = v; ts = Hashtbl.find ts_of_write i }
-      | Proto.PRead (x, v) -> Read { loc = x; value = v; ts = ts_of_read i }
-      | Proto.PBegin -> Begin
-      | Proto.PCommit -> Commit
-      | Proto.PAbort -> Abort
-      | Proto.PQfence x -> Qfence x
-    in
-    let body =
-      List.map
-        (fun i -> { Action.thread = ev.(i).thread; act = to_action i })
-        order
-    in
-    let trace = Trace.make ~locs body in
+    (* the trace: the WF1 initializing transaction, then the order *)
+    let init = Trace.init_events locs in
+    let ni = List.length init in
+    let events = Array.make (ni + n) (List.hd init) in
+    List.iteri (fun k e -> events.(k) <- e) init;
+    Array.iteri
+      (fun p i ->
+        let stamp =
+          match ev.(i).proto with
+          | Proto.PWrite _ -> co.(i)
+          | Proto.PRead _ -> ts_of_read i
+          | _ -> 0
+        in
+        events.(ni + p) <- combo.emitted.(i).(stamp))
+      order;
+    let trace = Trace.of_array ~locs events in
     (match Wellformed.violations trace with
     | [] -> ()
     | vs ->
@@ -382,9 +413,4 @@ let linearize ~locs combo { rf_sel; ww_sel; fence_sel } =
   end
 
 let outcome ~locs combo trace =
-  Outcome.make
-    ~envs:(List.map (fun (p : Proto.path) -> p.env) combo.paths)
-    ~mem:
-      (List.map
-         (fun x -> (x, Option.value (Trace.final_value trace x) ~default:0))
-         locs)
+  Outcome.of_registers combo.regs ~mem:(Trace.final_memory trace locs)

@@ -38,7 +38,11 @@ type fence_choice = Commit_before | Fence_before
     pair: the transaction's resolution linearizes before the fence, or
     the fence before the Begin. *)
 
-(** {1 Per-combo preparation} *)
+(** {1 Per-combo preparation}
+
+    Everything about a combo that does not depend on the selection is
+    computed once here, so that emitting one execution ({!linearize},
+    {!outcome}) fills int arrays from these tables and hashes nothing. *)
 
 type t = {
   paths : Proto.path list;  (** one path per thread, in thread order *)
@@ -46,9 +50,27 @@ type t = {
   reads : int list;  (** event indices of reads, ascending *)
   fences : int list;  (** event indices of quiescence fences *)
   writes_to : (string, int list) Hashtbl.t;  (** location -> writes *)
+  offsets : int array;
+      (** thread [i]'s block is [[offsets.(i), offsets.(i + 1))] *)
+  po_pred : int array;
+      (** each event's program-order predecessor, [-1] for a thread's
+          first event *)
+  resolution : int array;
+      (** per PBegin: the PCommit/PAbort resolving it, else [-1] *)
+  loc_writes : int array array;
+      (** per read: the writes of its location, ascending; [[||]] for
+          other events *)
+  emitted : Action.event array array;
+      (** [emitted.(i).(k)]: event [i] as a trace event with timestamp
+          [k] (memory events; others have the one entry [k = 0]).
+          Every trace of the combo shares these values *)
+  regs : (string * int) list array;
+      (** the paths' normalized register bindings
+          ({!Outcome.registers}), shared by every outcome of the combo *)
 }
 
 val prepare : Proto.path list -> t
+(** O(n) in the combo's events, plus the per-read write tables. *)
 
 val writes_of : t -> string -> int list
 val locs_written : t -> string list
@@ -76,7 +98,8 @@ val estimated_graphs : t -> int
     run is worth a domain pool at all. *)
 
 val resolution_of : t -> int -> int option
-(** The PCommit/PAbort event resolving transaction [b], if any. *)
+(** The PCommit/PAbort event resolving transaction [b] (a PBegin), if
+    any: a lookup in [resolution]. *)
 
 (** {1 One candidate graph, as the choices that pick it out} *)
 
@@ -100,8 +123,16 @@ val linearize : locs:string list -> t -> selection -> Trace.t option
     keep the open transaction contiguous.  [None] when the constraints
     are cyclic (no well-formed linearization exists).  Every produced
     trace is re-checked against the full well-formedness scan; a
-    violation raises, as an enumerator-bug detector. *)
+    violation raises, as an enumerator-bug detector.
+
+    Cost, for [n] combo events, [e] constraint edges and [l] locations:
+    the constraints and the sort fill int arrays in O(e + n²) (the sort
+    scans for the next available event), with one list cell per edge;
+    the trace is one array of [n + l + 2] events, built through
+    {!Trace.of_array}, whose combo events come from [emitted]; the
+    well-formedness scan ({!Wellformed.violations}) is O(n²).  No hash
+    table is built and no string is hashed. *)
 
 val outcome : locs:string list -> t -> Trace.t -> Outcome.t
-(** Final registers from the paths' environments, final memory from the
-    trace. *)
+(** Final registers: the combo's [regs], shared.  Final memory:
+    {!Trace.final_memory}, one scan of the trace. *)

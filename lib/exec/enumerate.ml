@@ -95,8 +95,11 @@ type result = {
    enumeration itself.  Under reduction the estimate is taken over the
    reduced space — live orbit representatives — so a run whose candidate
    space collapses under symmetry never pays for a pool.  Verdicts are
-   unaffected either way. *)
-let parallel_threshold = 64
+   unaffected either way.  The value is the measured crossover on a
+   2-core host: below it every bucket of programs ran slower at jobs 2
+   than at jobs 1, from it to twice it the two broke even, and beyond
+   that jobs 2 won (docs/ENUMERATION.md §5 has the table). *)
+let parallel_threshold = 512
 
 (* -- the unreduced reference ---------------------------------------------- *)
 

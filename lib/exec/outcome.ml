@@ -12,8 +12,9 @@ type t = { regs : (string * int) list array; mem : (string * int) list }
 let normalize bindings =
   List.sort compare (List.filter (fun (_, v) -> v <> 0) bindings)
 
-let make ~envs ~mem =
-  { regs = Array.of_list (List.map normalize envs); mem = normalize mem }
+let registers envs = Array.of_list (List.map normalize envs)
+let of_registers regs ~mem = { regs; mem = normalize mem }
+let make ~envs ~mem = of_registers (registers envs) ~mem
 
 let reg o thread r =
   if thread < 0 || thread >= Array.length o.regs then 0
@@ -21,7 +22,11 @@ let reg o thread r =
 
 let mem o x = Option.value (List.assoc_opt x o.mem) ~default:0
 
-let compare_t (a : t) (b : t) = Stdlib.compare (a.regs, a.mem) (b.regs, b.mem)
+(* the order of [compare (a.regs, a.mem) (b.regs, b.mem)], without the
+   two tuples per call *)
+let compare_t (a : t) (b : t) =
+  match Stdlib.compare a.regs b.regs with 0 -> Stdlib.compare a.mem b.mem | c -> c
+
 let equal a b = compare_t a b = 0
 
 let dedup outcomes = List.sort_uniq compare_t outcomes

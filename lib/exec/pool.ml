@@ -27,6 +27,11 @@
 
 let available_cores () = Domain.recommended_domain_count ()
 
+(* every domain [run_tasks] has spawned, for tests that must know a run
+   reached the pool *)
+let spawn_count = Atomic.make 0
+let spawned () = Atomic.get spawn_count
+
 let run_tasks ~jobs ~tasks (f : int -> 'a) : 'a array =
   if tasks < 0 then invalid_arg "Pool.run_tasks: negative tasks";
   let jobs = max 1 jobs in
@@ -53,7 +58,9 @@ let run_tasks ~jobs ~tasks (f : int -> 'a) : 'a array =
     let spawned =
       List.init
         (min (min (jobs - 1) (tasks - 1)) (max 0 (available_cores () - 1)))
-        (fun _ -> Domain.spawn worker)
+        (fun _ ->
+          Atomic.incr spawn_count;
+          Domain.spawn worker)
     in
     worker ();
     List.iter Domain.join spawned;

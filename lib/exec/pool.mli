@@ -25,3 +25,8 @@ val run_tasks : jobs:int -> tasks:int -> (int -> 'a) -> 'a array
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()], exposed for [--jobs 0]-style
     "use every core" defaults. *)
+
+val spawned : unit -> int
+(** How many domains {!run_tasks} has spawned since the program started,
+    over every call.  Read-only: a test reads it before and after a run
+    to tell whether the run reached the pool or took a sequential path. *)

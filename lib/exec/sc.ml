@@ -171,13 +171,7 @@ let run ?(config = default_config) (program : Ast.program) =
     List.rev_map
       (fun ((st : state), envs) ->
         let trace = Trace.make ~locs:!locs (List.rev st.events) in
-        let outcome =
-          Outcome.make ~envs
-            ~mem:
-              (List.map
-                 (fun x -> (x, Option.value (Trace.final_value trace x) ~default:0))
-                 !locs)
-        in
+        let outcome = Outcome.make ~envs ~mem:(Trace.final_memory trace !locs) in
         { trace; outcome })
       !executions
   in

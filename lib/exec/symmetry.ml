@@ -216,13 +216,6 @@ let perm t idx = t.perm.(idx)
 
 (* -- transporting a selection from a representative to an image ----------- *)
 
-(* Per-thread offsets of a combo's flattened event list. *)
-let offsets (combo : Combo.t) =
-  let lens = List.map (fun (p : Proto.path) -> List.length p.protos) combo.paths in
-  let off = Array.make (List.length lens + 1) 0 in
-  List.iteri (fun i l -> off.(i + 1) <- off.(i) + l) lens;
-  off
-
 let loc_of_write (combo : Combo.t) e =
   match combo.ev.(e).Combo.proto with
   | Proto.PWrite (x, _) -> x
@@ -234,7 +227,7 @@ let loc_of_write (combo : Combo.t) e =
    needs materializing. *)
 let map_selection ~(from : Combo.t) ~(to_ : Combo.t) (pi : int array)
     (sel : Combo.selection) : Combo.selection =
-  let off_f = offsets from and off_t = offsets to_ in
+  let off_f = from.Combo.offsets and off_t = to_.Combo.offsets in
   let m e =
     if e < 0 then e
     else

@@ -17,7 +17,16 @@
                       finding                                                      |
     | [jobs-det]    | [Enumerate.run] with [jobs = 1] and [jobs = N] agree
                       bit-for-bit (traces, outcomes, order, graphs, caps), under
-                      pm and under the strongest variant                          |
+                      pm and under the strongest variant.  A generated program
+                      almost never clears [Enumerate]'s parallel threshold (a
+                      reduced estimate of 512 candidates), so at [jobs = N] it
+                      takes the sequential fallback and this oracle pins that
+                      decision; the pool itself is held to [jobs = 1] by
+                      [test_parallel]'s "jobs split and cap merge
+                      deterministically", [reduction_quick]'s "graph cap
+                      inside an image combo at every jobs" (both assert a
+                      domain was spawned) and CI's [-j 2] diff of
+                      litmus/w3o3.litmus                                           |
     | [reduction-det] | [Enumerate.run] under [Dpor] is bit-identical to the
                       unreduced reference, and under [Dpor_sym] preserves the
                       execution multiset, graphs, caps, and monotonically

@@ -168,7 +168,9 @@ let test_capped_images () =
   Alcotest.(check int) "graphs = reference" rn.graphs r1.graphs;
   Alcotest.(check bool) "capped = reference" rn.capped r1.capped;
   List.iter
-    (fun jobs -> check_identical (Fmt.str "capsym jobs %d" jobs) r1 (at ~jobs cap))
+    (fun jobs ->
+      let name = Fmt.str "capsym jobs %d" jobs in
+      check_identical name r1 (Test_parallel.in_pool name (fun () -> at ~jobs cap)))
     [ 2; 4 ]
 
 (* Every catalog program × every model at jobs 1: dpor bit-identical to
@@ -186,6 +188,71 @@ let test_catalog_leaves () =
             (run Enumerate.Dpor model lit.program))
         Model.all)
     Tmx_litmus.Catalog.all
+
+(* Golden digests.  Every comparison above holds one strategy to
+   another, so none of them sees a change that every strategy shares —
+   a new linearization order, a reordered trace, another outcome.  These
+   MD5 literals pin each execution's compact trace and outcome, in
+   order, with the graphs, explored and capped counts of every run; a
+   change that alters any of them changes what users see, and must say
+   so where it updates them. *)
+let digest_of runs =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (r : Enumerate.result) ->
+      List.iter
+        (fun (e : Enumerate.execution) ->
+          Buffer.add_string b
+            (Fmt.str "%a\n%a\n" Trace.pp_compact e.trace Outcome.pp e.outcome))
+        r.executions;
+      Buffer.add_string b
+        (Fmt.str "graphs=%d explored=%d capped=%b\n" r.graphs r.explored r.capped))
+    runs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* the frontier program of perfbench's corpus where symmetry prunes:
+   three writers, three interchangeable two-read observers *)
+let w3o3 =
+  let open Tmx_lang.Ast in
+  let x = loc "x" in
+  program ~name:"w3o3" ~locs:[ "x" ]
+    [
+      [ store x (int 1) ];
+      [ store x (int 2) ];
+      [ atomic [ store x (int 3) ] ];
+      [ load "r1" x; load "r2" x ];
+      [ load "r1" x; load "r2" x ];
+      [ load "r1" x; load "r2" x ];
+    ]
+
+let golden =
+  [
+    ( Enumerate.No_reduction,
+      "84efc3360a0e5803b11b659c56cc3f9d",
+      "0d675f67f64c34f94fdb06c3e2535227" );
+    (Enumerate.Dpor, "56949030c61abf17fdae4d63afdbeafb", "3f3ee35a9677f47a95a74d8660df3fbf");
+    ( Enumerate.Dpor_sym,
+      "e05cfbd880cd2968199544289151eeb5",
+      "1b2c684a10cd747ad00db473d4c704ae" );
+  ]
+
+let test_golden () =
+  List.iter
+    (fun (reduction, catalog, frontier) ->
+      let name = Enumerate.reduction_name reduction in
+      let catalog_runs =
+        List.concat_map
+          (fun (lit : Tmx_litmus.Litmus.t) ->
+            List.map
+              (fun model -> run reduction model lit.program)
+              [ Model.programmer; Model.implementation; Model.strongest ])
+          Tmx_litmus.Catalog.all
+      in
+      Alcotest.(check string) (name ^ ": catalog x {pm, im, strong}") catalog
+        (digest_of catalog_runs);
+      Alcotest.(check string) (name ^ ": w3o3 capped at 5000") frontier
+        (digest_of [ run ~max_graphs:5000 reduction Model.programmer w3o3 ]))
+    golden
 
 (* A thread-symmetric program must collapse orbits: interchangeable
    readers over one location. *)
@@ -257,4 +324,5 @@ let quick_suite =
       test_catalog_leaves;
     Alcotest.test_case "graph cap inside an image combo at every jobs" `Quick
       test_capped_images;
+    Alcotest.test_case "golden trace digests: catalog, w3o3 capped" `Quick test_golden;
   ]
