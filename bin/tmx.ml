@@ -183,7 +183,8 @@ let litmus_cmd =
           (match cache with
           | Some c ->
               let s = Tmx_service.Cache.stats c in
-              Fmt.pr "cache: %d hits, %d misses@." s.hits s.misses
+              Fmt.pr "cache: %d hits, %d misses@." s.hits s.misses;
+              Tmx_service.Cache.close c
           | None -> ());
           if !failures > 0 then exit 1)
         tests
@@ -934,13 +935,15 @@ let fuzz_cmd =
       in
       Result.bind oracles (fun oracles ->
           let jobs = if jobs <= 0 then Tmx_exec.Pool.available_cores () else jobs in
-          let enumerate =
+          let cache =
             if use_cache then
-              let c =
-                Tmx_service.Cache.create ~dir:(resolve_cache_dir cache_dir) ()
-              in
-              Some (fun config m p -> Tmx_service.Cache.memo_run c ~config m p)
+              Some (Tmx_service.Cache.create ~dir:(resolve_cache_dir cache_dir) ())
             else None
+          in
+          let enumerate =
+            Option.map
+              (fun c config m p -> Tmx_service.Cache.memo_run c ~config m p)
+              cache
           in
           let opts =
             {
@@ -955,6 +958,8 @@ let fuzz_cmd =
               enumerate;
             }
           in
+          Fun.protect ~finally:(fun () -> Option.iter Tmx_service.Cache.close cache)
+          @@ fun () ->
           match minimize with
           | Some file -> (
               match oracles with
@@ -1855,32 +1860,36 @@ let cache_cmd =
     let run dir =
       let dir = resolve_cache_dir dir in
       let s = Cache.disk_stats ~dir () in
-      Fmt.pr "%s: %d entries, %d bytes (%d current, %d stale, %d corrupt)@."
-        dir s.entries s.bytes s.current s.stale s.corrupt
+      Fmt.pr
+        "%s: %d records, %d bytes (%d current, %d superseded, %d stale, %d \
+         corrupt)@."
+        dir s.records s.bytes s.current s.superseded s.stale s.corrupt
     in
     Cmd.v
-      (Cmd.info "stats" ~doc:"Count and classify the on-disk entries.")
+      (Cmd.info "stats" ~doc:"Count and classify the on-disk records.")
       Term.(const run $ cache_dir_arg)
   in
   let gc_cmd =
     let run dir =
       let dir = resolve_cache_dir dir in
-      Fmt.pr "%s: removed %d stale/corrupt entries@." dir (Cache.gc ~dir ())
+      Fmt.pr "%s: removed %d superseded, stale or corrupt records@." dir
+        (Cache.gc ~dir ())
     in
     Cmd.v
       (Cmd.info "gc"
          ~doc:
-           "Delete entries written by other format versions and corrupt \
-            files; current entries are kept.")
+           "Compact the logs: keep the newest current record of each key, \
+            and drop older ones, those written by other format versions \
+            and corrupt ones.")
       Term.(const run $ cache_dir_arg)
   in
   let clear_cmd =
     let run dir =
       let dir = resolve_cache_dir dir in
-      Fmt.pr "%s: removed %d entries@." dir (Cache.clear ~dir)
+      Fmt.pr "%s: removed %d records@." dir (Cache.clear ~dir)
     in
     Cmd.v
-      (Cmd.info "clear" ~doc:"Delete every entry.")
+      (Cmd.info "clear" ~doc:"Delete every record.")
       Term.(const run $ cache_dir_arg)
   in
   Cmd.group

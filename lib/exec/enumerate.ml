@@ -393,10 +393,12 @@ let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
         let own = List.map (fun (o, _, trace) -> (o, execution combo trace)) found in
         (!count, explored, own :: List.map transport ims))
   in
-  (* fold each representative's tasks back together, offsetting local
-     ordinals by the task prefix within the combo: every member of the
-     orbit (the representative, then its images) gets the orbit's
-     candidate count and its own executions *)
+  (* fold each representative's tasks back together: a pinned task's
+     ordinals are already the representative's (Reduce.enumerate claims
+     the subtrees before its pin first), so its final count is where its
+     pin's subtree ends, and a cap stops it where it stops the jobs = 1
+     walk.  Every member of the orbit (the representative, then its
+     images) gets the orbit's candidate count and its own executions *)
   let per_combo = Hashtbl.create 64 in
   let explored = ref 0 and ti = ref 0 in
   List.iter
@@ -405,11 +407,8 @@ let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
       let count = ref 0 and acc = ref (List.map (fun _ -> []) members) in
       while !ti < Array.length tasks && (let r', _, _ = tasks.(!ti) in r' = r) do
         let c, x, lists = results.(!ti) in
-        acc :=
-          List.map2
-            (fun a l -> List.rev_append (List.map (fun (o, e) -> (!count + o, e)) l) a)
-            !acc lists;
-        count := !count + c;
+        acc := List.map2 (fun a l -> List.rev_append l a) !acc lists;
+        count := max !count c;
         explored := !explored + x;
         incr ti
       done;

@@ -78,7 +78,8 @@ type result = {
       (** candidate graphs whose leaf check actually ran.  Equal to
           [graphs] without reduction; under reduction, candidates pruned
           in bulk (doomed prefixes, symmetric images) are counted in
-          [graphs] but not here — the ratio is the reduction's win. *)
+          [graphs] but not here — the ratio is the reduction's win.  The
+          same whatever [jobs] was, capped runs included. *)
   races : (int * int) list array option;
       (** per execution, in [executions] order: its races at L = every
           location ({!Tmx_core.Race.races}) under the model that was

@@ -528,14 +528,17 @@ let selection_of plan choices =
    the first level's choice (the parallel task split).  [claim k]
    accounts for [k] candidates and returns the ordinal of the first if
    it is to be processed; pruned subtrees are bulk-claimed, so ordinals
-   and totals coincide with the unreduced enumerator.  [emit] receives
-   each consistent execution's ordinal, selection and trace.  Returns
-   the number of candidates whose leaf check actually ran. *)
+   and totals coincide with the unreduced enumerator.  A pinned walk
+   first bulk-claims the subtrees of the choices before its pin, so its
+   ordinals are those of the unpinned walk.  [emit] receives each
+   consistent execution's ordinal, selection and trace.  Returns the
+   number of candidates whose leaf check actually ran. *)
 let enumerate ?pin ~claim ~emit plan =
   let nlv = Array.length plan.levels in
   let explored = ref 0 in
   if Array.exists (fun w -> w = 0) plan.widths then ()
   else begin
+    Option.iter (fun k -> ignore (claim (sat_mul k plan.suffix.(1)))) pin;
     let rec go li st choices =
       if li = nlv then begin
         match claim 1 with

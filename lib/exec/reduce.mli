@@ -48,7 +48,10 @@ val enumerate :
     [claim k] accounts for [k] candidates and returns the ordinal of the
     first if it is to be processed ([None] past the graph cap); pruned
     subtrees are bulk-claimed, so ordinals and totals coincide with the
-    unreduced enumerator.  [emit] receives each consistent candidate's
+    unreduced enumerator.  A walk pinned to choice [k] first bulk-claims
+    the subtrees of choices [0 .. k-1], so its ordinals are those of the
+    unpinned walk, and a cap stops it where it stops that walk.  [emit]
+    receives each consistent candidate's
     ordinal, selection and linearized trace.  Returns the number of
     candidates whose leaf consistency check actually ran (the [explored]
     statistic). *)

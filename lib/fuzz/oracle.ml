@@ -251,6 +251,10 @@ let check_jobs_det ctx (p : Ast.program) =
         Fail
           (Fmt.str "graphs: %d with jobs=1, %d with jobs=%d" r1.graphs rn.graphs
              jobs)
+      else if r1.explored <> rn.explored then
+        Fail
+          (Fmt.str "explored: %d with jobs=1, %d with jobs=%d" r1.explored
+             rn.explored jobs)
       else if r1.capped <> rn.capped || r1.truncated <> rn.truncated then
         Fail "cap/truncation flags differ between jobs=1 and jobs=N"
       else if List.length r1.executions <> List.length rn.executions then

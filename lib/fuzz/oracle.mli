@@ -16,7 +16,8 @@
                       under any model, and enumerated mixed races imply a mixed
                       finding                                                      |
     | [jobs-det]    | [Enumerate.run] with [jobs = 1] and [jobs = N] agree
-                      bit-for-bit (traces, outcomes, order, graphs, caps), under
+                      bit-for-bit (traces, outcomes, order, graphs,
+                      explored, caps), under
                       pm and under the strongest variant.  A generated program
                       almost never clears [Enumerate]'s parallel threshold (a
                       reduced estimate of 512 candidates), so at [jobs = N] it

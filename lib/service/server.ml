@@ -599,6 +599,7 @@ let stop t =
     (* workers poll the flag from the select/read timeouts; no wakeup
        connection needed *)
     List.iter Domain.join t.domains;
+    Cache.close t.cache;
     if t.owns_listener then close_listener t.listener;
     log t "stopped")
 

@@ -98,8 +98,8 @@ val stopping : t -> bool
 
 val stop : t -> unit
 (** Idempotent: signal the workers (they notice within the 0.25s
-    select/read timeout), join them, and — when the server owns its
-    listener — close and unlink the sockets. *)
+    select/read timeout), join them, close the cache's logs, and — when
+    the server owns its listener — close and unlink the sockets. *)
 
 val wait : t -> unit
 (** Block until the server stops (a [shutdown] request arrives), then

@@ -18,7 +18,7 @@ let exhaustive =
     "arch_catalog";
   ]
 
-let () =
+let run_suites () =
   let suites =
     [
       ("rat", Test_rat.suite);
@@ -74,3 +74,8 @@ let () =
     else suites
   in
   Alcotest.run "tmx" suites
+
+let () =
+  match Sys.argv with
+  | [| _; "cache-writer"; dir; proc |] -> Test_service.cache_writer ~dir (int_of_string proc)
+  | _ -> run_suites ()

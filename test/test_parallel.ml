@@ -13,6 +13,7 @@ let models = [ Model.programmer; Model.implementation ]
 
 let check_same_result name (a : Enumerate.result) (b : Enumerate.result) =
   Alcotest.(check int) (name ^ ": graphs") a.graphs b.graphs;
+  Alcotest.(check int) (name ^ ": explored") a.explored b.explored;
   Alcotest.(check bool) (name ^ ": capped") a.capped b.capped;
   Alcotest.(check bool) (name ^ ": truncated") a.truncated b.truncated;
   Alcotest.(check int)
@@ -85,6 +86,27 @@ let test_stress_jobs () =
   Alcotest.(check bool) "cap exercised" true capped.capped;
   check_same_result "stress capped" capped
     (in_pool "stress capped jobs=4" (fun () -> run ~max_graphs:100 4))
+
+(* Six interchangeable writers and a reader, capped below its 5040
+   candidates: the reduced walk reaches the pool at jobs = 2 with one
+   task per first-read choice, and a task must stop where the cap stops
+   the jobs = 1 walk, or [explored] (which a cached entry keeps) depends
+   on who computed it. *)
+let test_capped_explored () =
+  let open Tmx_lang.Ast in
+  let x = loc "x" in
+  let p =
+    program ~name:"w6r1" ~locs:[ "x" ]
+      (List.init 6 (fun _ -> [ store x (int 1) ]) @ [ [ load "r" x ] ])
+  in
+  let run jobs =
+    Enumerate.run
+      ~config:{ Enumerate.default_config with jobs; max_graphs = 1000 }
+      Model.programmer p
+  in
+  let seq = run 1 in
+  Alcotest.(check bool) "cap exercised" true seq.capped;
+  check_same_result "w6r1 capped" seq (in_pool "w6r1 capped jobs=2" (fun () -> run 2))
 
 (* --- the pool itself: argument normalization and error parity --- *)
 
@@ -183,6 +205,8 @@ let suite =
       test_catalog_jobs;
     Alcotest.test_case "jobs split and cap merge deterministically" `Quick
       test_stress_jobs;
+    Alcotest.test_case "capped explored is jobs-independent" `Quick
+      test_capped_explored;
     Alcotest.test_case "pool raises identically whatever jobs" `Quick
       test_pool_exception_parity;
     Alcotest.test_case "pool clamps pathological arguments" `Quick

@@ -136,6 +136,32 @@ let prop_json_roundtrip =
     (QCheck.make ~print:Json.to_string gen_json)
     (fun v -> Json.of_string (Json.to_string v) = Ok v)
 
+(* A cache record is one line whose fields are split by tabs, so an
+   entry's JSON text must hold neither: the printer escapes every
+   control character. *)
+let prop_json_one_line =
+  QCheck.Test.make ~name:"json text holds no control character" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> String.for_all (fun c -> c >= ' ') (Json.to_string v))
+
+(* The log scan's word-at-a-time newline search agrees with a bytewise
+   one wherever the newlines fall against the eight-byte words, among
+   bytes that differ from a newline in one bit or in the high bit. *)
+let prop_newline_search =
+  let gen =
+    let open QCheck.Gen in
+    let byte = oneofl [ '\n'; '\x0b'; '\x08'; '\x8a'; '\x00'; '\xff'; '\x80'; 'a' ] in
+    string_size ~gen:byte (0 -- 40) >>= fun s ->
+    0 -- String.length s >>= fun i ->
+    i -- String.length s >>= fun n -> return (s, i, n)
+  in
+  QCheck.Test.make ~name:"cache newline search" ~count:2000
+    (QCheck.make ~print:(fun (s, i, n) -> Fmt.str "%S %d %d" s i n) gen)
+    (fun (s, i, n) ->
+      let b = Bytes.of_string s in
+      let bytewise = match Bytes.index_from_opt b i '\n' with Some e when e < n -> e | _ -> n in
+      Cache.newline b i n = bytewise)
+
 let test_protocol_roundtrip () =
   let sub =
     {
@@ -219,37 +245,145 @@ let test_cache_version_mismatch () =
   Alcotest.(check int) "one stale entry" 1 ds.stale;
   Alcotest.(check int) "no current entries" 0 ds.current;
   Alcotest.(check int) "gc reclaims it" 1 (Cache.gc ~version:"test-v2" ~dir ());
-  Alcotest.(check int) "disk empty after gc" 0 (Cache.disk_stats ~dir ()).entries;
+  Alcotest.(check int) "disk empty after gc" 0 (Cache.disk_stats ~dir ()).records;
   ignore (Cache.clear ~dir)
 
+(* -- damaging a log by hand --------------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_at path off text =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write_substring fd text 0 (String.length text));
+  Unix.close fd
+
+let append_to path text =
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
+  output_string oc text;
+  close_out oc
+
+(* The (line start, line end) of every line of a log's [text], in
+   order. *)
+let record_lines text =
+  let rec go i acc =
+    match String.index_from_opt text i '\n' with
+    | None -> List.rev acc
+    | Some e -> go (e + 1) (if e > i then (i, e) :: acc else acc)
+  in
+  go 0 []
+
+(* Flip the last body byte of each record of [log] whose key [pick]s,
+   in place: the record stays a well-formed line, but fails its MD5. *)
+let damage_records ?(pick = fun _ -> true) log =
+  let text = read_file log in
+  List.iter
+    (fun (i, e) ->
+      if pick (String.sub text i 32) then
+        write_at log (e - 1) (if text.[e - 1] = '!' then "?" else "!"))
+    (record_lines text)
+
+(* A record whose MD5 is right for [body], whatever [body] is. *)
+let forged_record ~key body =
+  String.concat "\t" [ "\n" ^ key; Digest.to_hex (Digest.string body); body ^ "\n" ]
+
+(* A record whose body no longer matches its MD5 is a counted load
+   failure, and so are records whose MD5 matches a body that is
+   garbage; memo then recovers the exact verdict. *)
 let test_cache_corruption () =
   let dir = temp_dir "corrupt" in
   let c = Cache.create ~dir () in
   let p = program_of "publication" in
   let v, _ = Cache.memo c ~config Model.programmer p in
   let key = Cache.key c ~config Model.programmer p in
-  let path = Cache.entry_path c key in
-  Alcotest.(check bool) "entry file exists" true (Sys.file_exists path);
-  let corrupt garbage =
-    let oc = open_out path in
-    output_string oc garbage;
-    close_out oc
+  let log = Cache.entry_path c key in
+  Alcotest.(check bool) "log exists" true (Sys.file_exists log);
+  let recovers what =
+    let c' = Cache.create ~dir () in
+    (match Cache.find c' ~config Model.programmer p with
+    | Some _ -> Alcotest.failf "%s served as a hit" what
+    | None -> ());
+    Alcotest.(check int) (what ^ " counted") 1 (Cache.stats c').load_failures;
+    (* memo must recover: recompute, re-store, and the verdict matches *)
+    let v', h = Cache.memo c' ~config Model.programmer p in
+    Alcotest.(check bool) "recovery is a miss" true (h = `Miss);
+    check_verdict_equal "recovered verdict" v v';
+    Cache.close c'
   in
+  damage_records log;
+  recovers "a record failing its MD5";
   List.iter
     (fun garbage ->
-      corrupt garbage;
-      let c' = Cache.create ~dir () in
-      (match Cache.find c' ~config Model.programmer p with
-      | Some _ -> Alcotest.failf "corrupt entry %S served as a hit" garbage
-      | None -> ());
-      Alcotest.(check int)
-        (Fmt.str "corrupt entry %S counted" garbage)
-        1 (Cache.stats c').load_failures;
-      (* memo must recover: recompute, re-store, and the verdict matches *)
-      let v', h = Cache.memo c' ~config Model.programmer p in
-      Alcotest.(check bool) "recovery is a miss" true (h = `Miss);
-      check_verdict_equal "recovered verdict" v v')
+      append_to log (forged_record ~key garbage);
+      recovers (Fmt.str "record body %S" garbage))
     [ "{ not json"; "[]"; "{\"format\":\"tmx-cache-1\"}"; "" ];
+  ignore (Cache.clear ~dir)
+
+(* A crash can leave any prefix of the last record: truncated at every
+   offset inside it, the log gives a fresh cache a plain miss for that
+   key and a hit for the record before it, never an exception; a store
+   made then is read back by a third cache. *)
+let test_cache_truncated_log () =
+  let dir = temp_dir "truncated" in
+  let c = Cache.create ~dir () in
+  let first = program_of "sb" and last = program_of "lb" in
+  ignore (Cache.memo c ~config Model.programmer first);
+  let log = Cache.entry_path c (Cache.key c ~config Model.programmer first) in
+  let before = String.length (read_file log) in
+  let v, _ = Cache.memo c ~config Model.programmer last in
+  Cache.close c;
+  let whole = read_file log in
+  for cut = before to String.length whole - 1 do
+    Out_channel.with_open_bin log (fun oc -> output_string oc (String.sub whole 0 cut));
+    let c' = Cache.create ~dir () in
+    let find c p = Cache.find c ~config Model.programmer p in
+    if Option.is_some (find c' last) then Alcotest.failf "cut at %d: the torn record hit" cut;
+    if Option.is_none (find c' first) then
+      Alcotest.failf "cut at %d: the record before it missed" cut;
+    let s = Cache.stats c' in
+    if s.misses <> 1 || s.hits <> 1 || s.load_failures <> 0 then
+      Alcotest.failf "cut at %d: %d hits, %d misses, %d load failures" cut s.hits s.misses
+        s.load_failures;
+    Cache.store c' ~config Model.programmer last v;
+    Cache.close c';
+    let c'' = Cache.create ~dir () in
+    (match find c'' last with
+    | None -> Alcotest.failf "cut at %d: the store after it is lost" cut
+    | Some v' -> check_verdict_equal (Fmt.str "cut at %d" cut) v v');
+    if Option.is_none (find c'' first) then
+      Alcotest.failf "cut at %d: the first record is lost" cut;
+    Cache.close c''
+  done;
+  ignore (Cache.clear ~dir)
+
+(* An append that was never fsynced can read back as zeros after a
+   power loss: a NUL-filled tail is skipped, and the next record ends
+   it. *)
+let test_cache_nul_tail () =
+  let dir = temp_dir "nul" in
+  let c = Cache.create ~dir () in
+  let kept = program_of "sb" and lost = program_of "lb" in
+  ignore (Cache.memo c ~config Model.programmer kept);
+  Cache.close c;
+  let log = Cache.entry_path c (Cache.key c ~config Model.programmer kept) in
+  append_to log (String.make 3000 '\000');
+  let c' = Cache.create ~dir () in
+  Alcotest.(check bool) "the record before the tail hits" true
+    (Option.is_some (Cache.find c' ~config Model.programmer kept));
+  let v, h = Cache.memo c' ~config Model.programmer lost in
+  Alcotest.(check bool) "no record in the tail" true (h = `Miss);
+  Alcotest.(check int) "a plain miss" 0 (Cache.stats c').load_failures;
+  Cache.close c';
+  let c'' = Cache.create ~dir () in
+  (match Cache.find c'' ~config Model.programmer lost with
+  | None -> Alcotest.fail "the record after the tail is lost"
+  | Some v' -> check_verdict_equal "after the tail" v v');
+  Alcotest.(check bool) "and the one before it" true
+    (Option.is_some (Cache.find c'' ~config Model.programmer kept));
+  let ds = Cache.disk_stats ~dir () in
+  Alcotest.(check int) "the tail is one corrupt line" 1 ds.corrupt;
+  Alcotest.(check int) "gc drops it" 1 (Cache.gc ~dir ());
+  Alcotest.(check int) "two current records remain" 2 (Cache.disk_stats ~dir ()).current;
   ignore (Cache.clear ~dir)
 
 let test_cache_lru_bound () =
@@ -448,8 +582,9 @@ let test_cached_race_checks () =
   Alcotest.(check int) "the reload never misses" 0 (Cache.stats reload_cache).misses;
   ignore (Cache.clear ~dir)
 
-(* An absent entry is a miss; an entry that exists but cannot be read
-   (here a symbolic link to itself) is a counted load failure. *)
+(* An absent log is a plain miss; a log that exists but cannot be read
+   (here a symbolic link to itself) is a counted load failure, and memo
+   still answers with the exact verdict, though it cannot store it. *)
 let test_cache_absent_vs_unreadable () =
   let dir = temp_dir "absent" in
   let c = Cache.create ~dir () in
@@ -459,6 +594,7 @@ let test_cache_absent_vs_unreadable () =
   Alcotest.(check int) "absent: one miss" 1 s.misses;
   Alcotest.(check int) "absent: no load failure" 0 s.load_failures;
   let path = Cache.entry_path c (Cache.key c ~config Model.programmer p) in
+  Alcotest.(check bool) "a lookup creates no log" false (Sys.file_exists path);
   Unix.symlink (Filename.basename path) path;
   let c' = Cache.create ~dir () in
   Alcotest.(check bool) "unreadable: no verdict" true
@@ -466,7 +602,15 @@ let test_cache_absent_vs_unreadable () =
   let s = Cache.stats c' in
   Alcotest.(check int) "unreadable: one miss" 1 s.misses;
   Alcotest.(check int) "unreadable: one load failure" 1 s.load_failures;
-  Sys.remove path;
+  let v, h = Cache.memo c' ~config Model.programmer p in
+  Alcotest.(check bool) "unreadable: memo computes" true (h = `Miss);
+  check_verdict_equal "unreadable: the exact verdict" (Cache.compute ~config Model.programmer p) v;
+  Alcotest.(check int) "unreadable: nothing stored" 0 (Cache.stats c').stores;
+  Alcotest.(check int) "gc deletes the log" 1 (Cache.gc ~dir ());
+  ignore (Cache.memo c' ~config Model.programmer p);
+  Alcotest.(check bool) "then memo stores again" true
+    (Option.is_some (Cache.find (Cache.create ~dir ()) ~config Model.programmer p));
+  Cache.close c';
   ignore (Cache.clear ~dir)
 
 (* -- the serve daemon --------------------------------------------------------- *)
@@ -556,7 +700,7 @@ let test_server_end_to_end () =
       Alcotest.(check bool)
         "server survives client disconnects" true
         (Protocol.response_ok resp);
-      (* corrupt the stored sb entry on disk.  The abandoned publication
+      (* corrupt the stored sb record on disk.  The abandoned publication
          request above evicts sb from the capacity-1 front only once a
          worker gets to it; evict synchronously with an unrelated request
          so the next sb query deterministically takes the corruption
@@ -567,9 +711,7 @@ let test_server_end_to_end () =
         Cache.key (Server.cache t) ~config:cfg.enum Model.programmer
           (program_of "sb")
       in
-      let oc = open_out (Cache.entry_path (Server.cache t) key) in
-      output_string oc "{ torn entry";
-      close_out oc;
+      damage_records ~pick:(String.equal key) (Cache.entry_path (Server.cache t) key);
       let r4 = send socket (req ~name:"sb" "races") in
       Alcotest.(check bool)
         "server survives a corrupted entry" true
@@ -824,9 +966,9 @@ let test_pipelined_lines () =
 
 (* -- sharded cache isolation -------------------------------------------------- *)
 
-(* Shards are shared-nothing: vandalizing every entry of one shard
-   directory must leave the other shards serving from disk, and the
-   damaged shard recovers by recomputation. *)
+(* Shards are independent: damaging every record of one shard's log
+   must leave the other shards serving from disk, and the damaged shard
+   recovers by recomputation. *)
 let test_cache_shard_isolation () =
   let dir = temp_dir "shardiso" in
   let c = Cache.create ~shards:4 ~capacity:64 ~dir () in
@@ -835,6 +977,7 @@ let test_cache_shard_isolation () =
     |> List.map (fun (l : Tmx_litmus.Litmus.t) -> l.program)
   in
   List.iter (fun p -> ignore (Cache.memo c ~config Model.programmer p)) progs;
+  Cache.close c;
   let key_of p = Cache.key c ~config Model.programmer p in
   let victim = List.hd progs in
   let victim_shard = Cache.shard_index c (key_of victim) in
@@ -847,13 +990,7 @@ let test_cache_shard_isolation () =
     | Some p -> p
     | None -> Alcotest.fail "catalog keys all landed in one shard"
   in
-  let victim_dir = Filename.dirname (Cache.entry_path c (key_of victim)) in
-  Array.iter
-    (fun f ->
-      let oc = open_out (Filename.concat victim_dir f) in
-      output_string oc "{ vandalized";
-      close_out oc)
-    (Sys.readdir victim_dir);
+  damage_records (Cache.entry_path c (key_of victim));
   (* a fresh store over the same tree (cold LRU front, so every find
      goes to disk) *)
   let c2 = Cache.create ~shards:4 ~capacity:64 ~dir () in
@@ -871,7 +1008,183 @@ let test_cache_shard_isolation () =
   check_verdict_equal "recovered verdict"
     (Cache.compute ~config Model.programmer victim)
     v;
+  Cache.close c2;
   ignore (Cache.clear ~dir)
+
+(* The records that writer [w] of [test_cache_concurrent_writers]
+   stores: 40 generated programs, and before every fourth of them a
+   verdict longer than the 64 KiB that one write(2) carries, under a
+   key of its own. *)
+let writer_work w =
+  let big_config = { config with max_graphs = 200 } in
+  let big = lazy (Cache.compute ~config:big_config Model.programmer Test_reduction.w3o3) in
+  let generated i =
+    let st = Tmx_fuzz.Gen.state_of_seed ~seed:2101 ~index:((40 * w) + i) in
+    let p = Tmx_fuzz.Gen.program ~name:"w" Tmx_fuzz.Gen.mixed st in
+    (config, p, Cache.compute ~config Model.programmer p)
+  in
+  List.concat
+    (List.init 10 (fun j ->
+         let big_key = { big_config with max_graphs = 200 + (10 * w) + j } in
+         (big_key, Test_reduction.w3o3, Lazy.force big)
+         :: List.init 4 (fun i -> generated ((4 * j) + i))))
+
+let writer_shards = 2
+
+(* Writer process [proc] (the test executable run as [main.exe
+   cache-writer DIR PROC]): once its standard input closes, writers [2
+   proc] and [2 proc + 1] store their records into [dir] at once, on two
+   domains, each through a cache of its own. *)
+let cache_writer ~dir proc =
+  let works = List.init 2 (fun d -> writer_work ((2 * proc) + d)) in
+  ignore (Unix.read Unix.stdin (Bytes.create 1) 0 1);
+  let write work () =
+    let c = Cache.create ~shards:writer_shards ~dir () in
+    List.iter (fun (config, p, v) -> Cache.store c ~config Model.programmer p v) work;
+    Cache.close c
+  in
+  List.iter Domain.join (List.map (fun w -> Domain.spawn (write w)) works);
+  exit 0
+
+(* Two processes of two domains each append 50 records apiece to one
+   sharded directory at the same time, 10 of them longer than one
+   write(2) carries.  A fresh cache then finds every entry, and no
+   record is torn.  The test process has spawned domains by now, and
+   OCaml forbids [fork] after that, so the writers are this executable
+   run again. *)
+let test_cache_concurrent_writers () =
+  let dir = temp_dir "writers" in
+  Cache.close (Cache.create ~shards:writer_shards ~dir ());
+  let gate, release = Unix.pipe ~cloexec:true () in
+  let writers =
+    List.init 2 (fun proc ->
+        Unix.create_process Sys.executable_name
+          [| Sys.executable_name; "cache-writer"; dir; string_of_int proc |]
+          gate Unix.stdout Unix.stderr)
+  in
+  Unix.close gate;
+  let works = List.init 4 writer_work in
+  (* the writers compute their records meanwhile; closing the pipe
+     starts them together *)
+  Unix.close release;
+  List.iter
+    (fun pid ->
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "a writer process failed")
+    writers;
+  let c = Cache.create ~shards:writer_shards ~dir () in
+  let keys = Hashtbl.create 256 in
+  List.iter
+    (List.iter (fun (config, p, v) ->
+         Hashtbl.replace keys (Cache.key c ~config Model.programmer p) ();
+         match Cache.find c ~config Model.programmer p with
+         | None -> Alcotest.fail "a concurrently stored entry is missing"
+         | Some v' -> check_verdict_equal "concurrently stored" v v'))
+    works;
+  Alcotest.(check int) "no load failure" 0 (Cache.stats c).load_failures;
+  Cache.close c;
+  let ds = Cache.disk_stats ~dir () in
+  Alcotest.(check int) "no corrupt record" 0 ds.corrupt;
+  Alcotest.(check int) "every record" (4 * 50) ds.records;
+  Alcotest.(check int) "every key current" (Hashtbl.length keys) ds.current;
+  ignore (Cache.clear ~dir)
+
+(* [gc] compacting the log, and [clear] deleting it, while a cache
+   holds it open: the cache must neither append to nor read from the
+   file it replaced, whether its next call is a store (which checks
+   before appending) or a lookup (which checks before rescanning). *)
+let test_cache_replaced_under_open () =
+  let dir = temp_dir "replaced" in
+  let progs =
+    Array.of_list
+      (List.filteri (fun i _ -> i < 5) Tmx_litmus.Catalog.all
+      |> List.map (fun (l : Tmx_litmus.Litmus.t) -> l.program))
+  in
+  let found c i = Option.is_some (Cache.find c ~config Model.programmer progs.(i)) in
+  let in_fresh i =
+    let c = Cache.create ~dir () in
+    let r = found c i in
+    Cache.close c;
+    r
+  in
+  let store_from_other i =
+    let c = Cache.create ~dir () in
+    ignore (Cache.memo c ~config Model.programmer progs.(i));
+    Cache.close c
+  in
+  let open_ = Cache.create ~dir () in
+  let v0, _ = Cache.memo open_ ~config Model.programmer progs.(0) in
+  let other = Cache.create ~dir () in
+  Cache.store other ~config Model.programmer progs.(0) v0;
+  Cache.close other;
+  store_from_other 1;
+  let ds = Cache.disk_stats ~dir () in
+  Alcotest.(check int) "a key stored twice: one superseded record" 1 ds.superseded;
+  Alcotest.(check int) "two current keys" 2 ds.current;
+  Alcotest.(check int) "gc drops the superseded record" 1 (Cache.gc ~dir ());
+  Alcotest.(check int) "the compacted log" 2 (Cache.disk_stats ~dir ()).records;
+  Cache.store open_ ~config Model.programmer progs.(2)
+    (Cache.compute ~config Model.programmer progs.(2));
+  Alcotest.(check bool) "a store after the compaction is found" true (in_fresh 2);
+  Alcotest.(check bool) "so are the kept ones" true (in_fresh 0 && in_fresh 1);
+  Alcotest.(check int) "clear removes three records" 3 (Cache.clear ~dir);
+  store_from_other 3;
+  Alcotest.(check bool) "the open cache reads the new log" true (found open_ 3);
+  ignore (Cache.clear ~dir);
+  Cache.store open_ ~config Model.programmer progs.(4)
+    (Cache.compute ~config Model.programmer progs.(4));
+  Alcotest.(check bool) "a store after the clear is found" true (in_fresh 4);
+  Alcotest.(check bool) "nothing from before it" false (in_fresh 3);
+  Cache.close open_;
+  ignore (Cache.clear ~dir)
+
+(* A closed cache reopens its log when used again, and a cache dropped
+   unclosed has its log's descriptor closed by a finaliser. *)
+let test_cache_close () =
+  let dir = temp_dir "close" in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let p = program_of "sb" and q = program_of "lb" in
+  let c = Cache.create ~capacity:1 ~dir () in
+  ignore (Cache.memo c ~config Model.programmer p);
+  ignore (Cache.memo c ~config Model.programmer q);
+  Cache.close c;
+  Alcotest.(check bool) "an evicted entry is read after close" true
+    (Option.is_some (Cache.find c ~config Model.programmer p));
+  Alcotest.(check int) "from the reopened log" 1 (Cache.stats c).hits;
+  Cache.close c;
+  let v = Cache.compute ~config Model.programmer p in
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    Cache.store (Cache.create ~dir ()) ~config Model.programmer p v
+  done;
+  Gc.full_major ();
+  Alcotest.(check int) "dropped caches leave no descriptor open" before (open_fds ());
+  ignore (Cache.clear ~dir)
+
+(* gc and clear reclaim what the one-file-per-entry layout left: its
+   entries, and the temp files of writers killed before their rename *)
+let test_cache_legacy_files () =
+  let dir = temp_dir "legacy" in
+  let c = Cache.create ~shards:2 ~dir () in
+  ignore (Cache.memo c ~config Model.programmer (program_of "sb"));
+  Cache.close c;
+  let shard0 = Filename.concat dir "shard-00" in
+  let leave name = Out_channel.with_open_bin name (fun oc -> output_string oc "{}") in
+  List.iter leave
+    [
+      Filename.concat dir "0123.json";
+      Filename.concat shard0 "abcd.json";
+      Filename.concat shard0 ".tmp-abcd-1-2";
+    ];
+  let ds = Cache.disk_stats ~dir () in
+  Alcotest.(check (list int)) "records, current, stale, corrupt" [ 4; 1; 2; 1 ]
+    [ ds.records; ds.current; ds.stale; ds.corrupt ];
+  Alcotest.(check int) "gc removes the three files" 3 (Cache.gc ~dir ());
+  Alcotest.(check int) "the record stays" 1 (Cache.disk_stats ~dir ()).current;
+  leave (Filename.concat shard0 ".tmp-abcd-3-4");
+  Alcotest.(check int) "clear removes the record and the file" 2 (Cache.clear ~dir);
+  Alcotest.(check int) "nothing left" 0 (Cache.disk_stats ~dir ()).records
 
 (* Truncated digests would alias into a single shard and shadow each
    other; the path constructors must reject them. *)
@@ -1154,7 +1467,11 @@ let suite =
     Alcotest.test_case "protocol round trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "cache store/find round trip" `Quick test_cache_roundtrip;
     Alcotest.test_case "cache version mismatch" `Quick test_cache_version_mismatch;
+    Tb.qcheck prop_json_one_line;
+    Tb.qcheck prop_newline_search;
     Alcotest.test_case "cache corruption recovery" `Quick test_cache_corruption;
+    Alcotest.test_case "cache log truncated at every offset" `Quick test_cache_truncated_log;
+    Alcotest.test_case "cache NUL-filled tail" `Quick test_cache_nul_tail;
     Alcotest.test_case "cache LRU bound" `Quick test_cache_lru_bound;
     Alcotest.test_case "cache concurrent memo" `Quick test_cache_concurrent;
     Alcotest.test_case "cached reports byte-identical" `Slow
@@ -1165,6 +1482,11 @@ let suite =
     Alcotest.test_case "cache absent vs unreadable entry" `Quick
       test_cache_absent_vs_unreadable;
     Alcotest.test_case "cache shard isolation" `Quick test_cache_shard_isolation;
+    Alcotest.test_case "cache concurrent writers" `Quick test_cache_concurrent_writers;
+    Alcotest.test_case "cache log replaced under an open cache" `Quick
+      test_cache_replaced_under_open;
+    Alcotest.test_case "cache gc reclaims the old layout" `Quick test_cache_legacy_files;
+    Alcotest.test_case "cache close and finaliser" `Quick test_cache_close;
     Alcotest.test_case "cache shard prefix guard" `Quick
       test_cache_shard_prefix_guard;
     Alcotest.test_case "client address parsing" `Quick test_addr_of_string;
