@@ -165,15 +165,17 @@ let litmus_cmd =
                    ())
             else None
           in
+          (* without a cache, Litmus.run's own enumeration, which asks
+             for the races its checks read *)
           let enumerate =
-            match cache with
-            | None -> fun ~config m p -> Enumerate.run ~config m p
-            | Some c -> fun ~config m p -> Tmx_service.Cache.memo_run c ~config m p
+            Option.map
+              (fun c ~config m p -> Tmx_service.Cache.memo_run c ~config m p)
+              cache
           in
           let failures = ref 0 in
           List.iter
             (fun l ->
-              let report = Tmx_litmus.Litmus.run ~config ~enumerate l in
+              let report = Tmx_litmus.Litmus.run ~config ?enumerate l in
               if not (Tmx_litmus.Litmus.passed report) then incr failures;
               Fmt.pr "%a@." Tmx_litmus.Litmus.pp_report report)
             tests;
@@ -235,12 +237,12 @@ let races_cmd =
     Result.map
       (fun (l : Tmx_litmus.Litmus.t) ->
         let r =
-          Enumerate.run ~config:(config_of_jobs jobs reduction) model l.program
+          Enumerate.run ~config:(config_of_jobs jobs reduction) ~races:true model
+            l.program
         in
         let racy = ref 0 in
-        List.iter
-          (fun (e : Enumerate.execution) ->
-            let races = Verdict.execution_races model e.trace in
+        List.iter2
+          (fun (e : Enumerate.execution) races ->
             if races <> [] then begin
               incr racy;
               Fmt.pr "@[<v>execution %a@,  races: %a@]@." Outcome.pp e.outcome
@@ -250,7 +252,8 @@ let races_cmd =
                         Action.pp (Trace.act e.trace j)))
                 races
             end)
-          r.executions;
+          r.executions
+          (Array.to_list (Option.get r.races));
         Fmt.pr "%d/%d executions racy under %a@." !racy
           (List.length r.executions)
           Model.pp model;

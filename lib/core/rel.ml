@@ -13,6 +13,10 @@ let create n =
   { n; w; a = Array.make (n * w) 0 }
 
 let copy r = { r with a = Array.copy r.a }
+
+let blit ~src ~dst =
+  if src.n <> dst.n then invalid_arg "Rel.blit: size mismatch";
+  Array.blit src.a 0 dst.a 0 (Array.length src.a)
 let size r = r.n
 
 (* A row is an offset into an array of words: [off] is [i·w] for row i
@@ -97,19 +101,41 @@ let transitive_closure_in_place r =
    updated rows, but its update adds only v, which every updated row
    gains anyway, so rows updated before and after it get the same set.
    O(n·w) per new edge, with no allocation, against O(n²·w + n³/w) for a
-   from-scratch Warshall. *)
+   from-scratch Warshall.
+
+   Given [against = Some s], it also returns whether an updated row
+   meets the same row of [s].  Rows the edge does not touch are
+   unchanged, so if [r] and [s] were disjoint before, they are disjoint
+   after unless this says so.  A row's final value is known the moment
+   it is updated (the argument above), so each is tested right after
+   its update. *)
+let close_new_edge r u v against =
+  let w = r.w in
+  let meets = ref false in
+  for i = 0 to r.n - 1 do
+    if i = u || mem r i u then begin
+      ignore (or_into r.a (i * w) r.a (v * w) w);
+      add r i v;
+      match against with
+      | None -> ()
+      | Some s ->
+          for k = i * w to (i * w) + w - 1 do
+            if r.a.(k) land s.a.(k) <> 0 then meets := true
+          done
+    end
+  done;
+  !meets
+
 let add_edge_closed r u v =
   if mem r u v then false
   else begin
-    let w = r.w in
-    for i = 0 to r.n - 1 do
-      if i = u || mem r i u then begin
-        ignore (or_into r.a (i * w) r.a (v * w) w);
-        add r i v
-      end
-    done;
+    ignore (close_new_edge r u v None);
     true
   end
+
+let add_edge_closed_meets r u v s =
+  if s.n <> r.n then invalid_arg "Rel.add_edge_closed_meets: size mismatch";
+  (not (mem r u v)) && close_new_edge r u v (Some s)
 
 (* Union a delta into a closed relation, restoring closure edge by edge.
    Returns [true] if anything was added. *)

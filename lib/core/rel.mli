@@ -19,6 +19,11 @@ val create : int -> t
 (** [create n] is the empty relation over [{0..n-1}]. *)
 
 val copy : t -> t
+
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] overwrites [dst] with [src] (same size) without
+    allocating. *)
+
 val size : t -> int
 val mem : t -> int -> int -> bool
 
@@ -45,6 +50,14 @@ val add_edge_closed : t -> int -> int -> bool
     (O(n·w) per edge instead of a fresh Warshall pass).  Returns [true]
     if the edge was new.  The result is unspecified if [r] was not
     closed. *)
+
+val add_edge_closed_meets : t -> int -> int -> t -> bool
+(** [add_edge_closed_meets r u v s] is [add_edge_closed r u v], but
+    returns whether some row the edge touched (row [u] and every row
+    reaching [u]) shares a pair with the same row of [s] afterwards;
+    [false] when the edge was already in [r].  So when [r] and [s] were
+    disjoint, it tells whether they still are, in O(n·w) and without
+    allocating. *)
 
 val union_into_closed : into:t -> t -> bool
 (** [union_into_closed ~into delta] adds every edge of [delta] into the

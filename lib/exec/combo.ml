@@ -257,6 +257,37 @@ let estimated_graphs combo =
 let resolution_of combo b =
   if b >= 0 && combo.resolution.(b) >= 0 then Some combo.resolution.(b) else None
 
+(* The combo's conflicting pairs (i, j), i < j: two
+   accesses of one location, at least one a write, at least one plain,
+   neither aborted — [Race.l_conflict] at L = Loc, which no selection
+   changes.  Init writes are left out: they happen before every combo
+   event, so they never race. *)
+let conflicts combo =
+  let ev = combo.ev in
+  let access e =
+    match e.proto with
+    | Proto.PWrite (x, _) -> Some (x, true)
+    | Proto.PRead (x, _) -> Some (x, false)
+    | _ -> None
+  in
+  let acc = ref [] in
+  for j = Array.length ev - 1 downto 1 do
+    match access ev.(j) with
+    | Some (y, wj) when not ev.(j).aborted ->
+        for i = j - 1 downto 0 do
+          match access ev.(i) with
+          | Some (x, wi)
+            when String.equal x y
+                 && (wi || wj)
+                 && (ev.(i).txn < 0 || ev.(j).txn < 0)
+                 && not ev.(i).aborted ->
+              acc := (i, j) :: !acc
+          | _ -> ()
+        done
+    | _ -> ()
+  done;
+  Array.of_list !acc
+
 (* -- one candidate graph, as the choices that pick it out ----------------- *)
 
 (* A selection is keyed (read index, location, fence pair) rather than
@@ -282,7 +313,9 @@ type selection = {
    Everything here is an int array indexed by combo event, filled from
    the selection and the per-combo tables of [prepare]; a write's
    timestamp is its 1-based position in its location's chosen coherence
-   order, and a read's is its source's (0 for the initial value). *)
+   order, and a read's is its source's (0 for the initial value).  The
+   trace comes with the order it was built from: combo event [order.(p)]
+   sits at trace position [#locs + 2 + p]. *)
 let linearize ~locs combo { rf_sel; ww_sel; fence_sel } =
   let ev = combo.ev in
   let n = Array.length ev in
@@ -409,7 +442,7 @@ let linearize ~locs combo { rf_sel; ww_sel; fence_sel } =
           "Enumerate: internal error, ill-formed linearization:@ %a@ trace:@ %a"
           Fmt.(list ~sep:comma Wellformed.pp_violation)
           vs Trace.pp trace);
-    Some trace
+    Some (trace, order)
   end
 
 let outcome ~locs combo trace =

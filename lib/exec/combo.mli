@@ -115,13 +115,23 @@ type selection = {
   fence_sel : ((int * int) * fence_choice) list;
 }
 
-val linearize : locs:string list -> t -> selection -> Trace.t option
+val conflicts : t -> (int * int) array
+(** The combo's conflicting pairs [(i, j)], [i < j]: two accesses of
+    one location, at least one a write, at least one plain, neither
+    aborted ({!Tmx_core.Race.l_conflict} at L = every
+    location).  No selection changes them.  Init writes are left out:
+    they happen before every combo event, so they never race.  O(n²). *)
+
+val linearize :
+  locs:string list -> t -> selection -> (Trace.t * int array) option
 (** The one trace of a candidate graph: timestamps from the chosen
     coherence orders, the WF-derived ordering constraints
     (initialization, program order, WF8 reads-from, WF9–WF11 obscured
     accesses, WF12 fence sides), and a topological sort preferring to
     keep the open transaction contiguous.  [None] when the constraints
-    are cyclic (no well-formed linearization exists).  Every produced
+    are cyclic (no well-formed linearization exists).  The trace comes
+    with its order: combo event [order.(p)] sits at trace position
+    [List.length locs + 2 + p].  Every produced
     trace is re-checked against the full well-formedness scan; a
     violation raises, as an enumerator-bug detector.
 

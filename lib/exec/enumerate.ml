@@ -87,7 +87,7 @@ type result = {
   explored : int; (* candidate graphs whose leaf check actually ran *)
   races : (int * int) list array option;
       (* per execution, its races at L = Loc under the enumerating
-         model; only the verdict cache fills it in *)
+         model, when [run ~races:true] or the verdict cache filled it in *)
 }
 
 (* Below this many estimated candidates, a parallel run falls back to
@@ -110,8 +110,9 @@ let parallel_threshold = 512
    per candidate graph, in enumeration order, and returns [Some ordinal]
    to process it or [None] to count-and-skip it — graph-cap policy lives
    in the caller; [emit] receives each consistent execution with its
-   candidate ordinal. *)
-let enumerate_combo ~model ~locs ?pin ~claim ~emit (combo : Combo.t) =
+   candidate ordinal and, when [races] is set, its races, read off the
+   hb the consistency check just computed. *)
+let enumerate_combo ~model ~locs ~races ?pin ~claim ~emit (combo : Combo.t) =
   let read_choices = List.map (Combo.rf_candidates combo) combo.reads in
   let read_choices =
     match (pin, read_choices) with
@@ -143,12 +144,13 @@ let enumerate_combo ~model ~locs ?pin ~claim ~emit (combo : Combo.t) =
                     in
                     match Combo.linearize ~locs combo selection with
                     | None -> ()
-                    | Some trace ->
+                    | Some (trace, _) ->
                         let ctx = Lift.make trace in
                         let hb = Hb.compute model ctx in
                         if Consistency.consistent_axioms model ctx hb then
                           emit ordinal
-                            { trace; outcome = Combo.outcome ~locs combo trace }))))
+                            { trace; outcome = Combo.outcome ~locs combo trace }
+                            (if races then Race.races trace hb else [])))))
   end
 
 let collect_combos thread_paths =
@@ -156,10 +158,23 @@ let collect_combos thread_paths =
   Combo.product thread_paths (fun sel -> acc := sel :: !acc);
   List.rev_map Combo.prepare !acc
 
+(* The result of a run from its kept executions, each with its races
+   (in execution order, reversed as the merges collect them). *)
+let result_of ~races ~truncated ~capped ~graphs ~explored rev_kept =
+  let kept = List.rev rev_kept in
+  {
+    executions = List.map fst kept;
+    truncated;
+    capped;
+    graphs;
+    explored;
+    races = (if races then Some (Array.of_list (List.map snd kept)) else None);
+  }
+
 (* Sequential reference path: one global candidate counter, cap applied
    as candidates are claimed. *)
-let run_sequential ~config ~model ~locs ~truncated combos =
-  let executions = ref [] and graphs = ref 0 and capped = ref false in
+let run_sequential ~config ~model ~locs ~races ~truncated combos =
+  let kept = ref [] and graphs = ref 0 and capped = ref false in
   let claim () =
     if !graphs >= config.max_graphs then begin
       capped := true;
@@ -170,16 +185,9 @@ let run_sequential ~config ~model ~locs ~truncated combos =
       Some (!graphs - 1)
     end
   in
-  let emit _ordinal e = executions := e :: !executions in
-  List.iter (fun combo -> enumerate_combo ~model ~locs ~claim ~emit combo) combos;
-  {
-    executions = List.rev !executions;
-    truncated;
-    capped = !capped;
-    graphs = !graphs;
-    explored = !graphs;
-    races = None;
-  }
+  let emit _ordinal e r = kept := (e, r) :: !kept in
+  List.iter (fun combo -> enumerate_combo ~model ~locs ~races ~claim ~emit combo) combos;
+  result_of ~races ~truncated ~capped:!capped ~graphs:!graphs ~explored:!graphs !kept
 
 (* Parallel path: fan tasks — (combo, first-read choice) pairs in
    sequential enumeration order — over a domain pool, then merge the
@@ -197,7 +205,7 @@ let run_sequential ~config ~model ~locs ~truncated combos =
    local ordinal is below the cap (a deterministic over-approximation of
    "global ordinal below the cap": prefix sums are nonnegative); the
    merge then drops the few over-approximated ones. *)
-let run_parallel ~config ~model ~locs ~truncated combos =
+let run_parallel ~config ~model ~locs ~races ~truncated combos =
   let tasks =
     List.concat_map
       (fun (combo : Combo.t) ->
@@ -209,45 +217,38 @@ let run_parallel ~config ~model ~locs ~truncated combos =
   in
   let results =
     Pool.run_tasks ~jobs:config.jobs ~tasks:(Array.length tasks) (fun ti ->
+        (* a prepared combo is never written after [Combo.prepare], so
+           the tasks share them *)
         let combo, pin = tasks.(ti) in
-        (* re-prepare so every mutable index table is domain-local *)
-        let combo = Combo.prepare combo.Combo.paths in
         let count = ref 0 and execs = ref [] in
         let claim () =
           let ordinal = !count in
           incr count;
           if ordinal < config.max_graphs then Some ordinal else None
         in
-        let emit ordinal e = execs := (ordinal, e) :: !execs in
-        enumerate_combo ~model ~locs ?pin ~claim ~emit combo;
+        let emit ordinal e r = execs := (ordinal, (e, r)) :: !execs in
+        enumerate_combo ~model ~locs ~races ?pin ~claim ~emit combo;
         (!count, List.rev !execs))
   in
   let total = Array.fold_left (fun acc (c, _) -> acc + c) 0 results in
-  let executions = ref [] and prefix = ref 0 in
+  let kept = ref [] and prefix = ref 0 in
   Array.iter
     (fun (count, execs) ->
       List.iter
-        (fun (ordinal, e) ->
-          if !prefix + ordinal < config.max_graphs then
-            executions := e :: !executions)
+        (fun (ordinal, x) -> if !prefix + ordinal < config.max_graphs then kept := x :: !kept)
         execs;
       prefix := !prefix + count)
     results;
-  {
-    executions = List.rev !executions;
-    truncated;
-    capped = total > config.max_graphs;
-    graphs = min total config.max_graphs;
-    explored = min total config.max_graphs;
-    races = None;
-  }
+  let graphs = min total config.max_graphs in
+  result_of ~races ~truncated ~capped:(total > config.max_graphs) ~graphs ~explored:graphs
+    !kept
 
 (* More domains than cores only adds task-split and scheduling overhead
    (the pool won't spawn them anyway); results are jobs-independent, so
    clamping is invisible except in wall-clock. *)
 let effective_jobs jobs = min jobs (Pool.available_cores ())
 
-let run_unreduced ~config ~model ~locs ~truncated thread_paths =
+let run_unreduced ~config ~model ~locs ~races ~truncated thread_paths =
   let combos = collect_combos thread_paths in
   let small () =
     (* saturating sum; stop adding once clearly past the threshold *)
@@ -259,8 +260,8 @@ let run_unreduced ~config ~model ~locs ~truncated thread_paths =
     go 0 combos
   in
   if effective_jobs config.jobs <= 1 || small () then
-    run_sequential ~config ~model ~locs ~truncated combos
-  else run_parallel ~config ~model ~locs ~truncated combos
+    run_sequential ~config ~model ~locs ~races ~truncated combos
+  else run_parallel ~config ~model ~locs ~races ~truncated combos
 
 (* -- the reduced driver --------------------------------------------------- *)
 
@@ -276,7 +277,7 @@ let run_unreduced ~config ~model ~locs ~truncated thread_paths =
    pass then walks every combo in enumeration order, offsetting the
    ordinals and applying the cap.  Results are therefore identical
    whatever [jobs] was, by construction. *)
-let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
+let run_reduced ~config ~model ~locs ~races ~truncated reduction thread_paths =
   let tp = Array.of_list (List.map Array.of_list thread_paths) in
   let nthreads = Array.length tp in
   let radices = Array.map Array.length tp in
@@ -355,34 +356,42 @@ let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
   (* with jobs = 1 no domain is spawned, so prepared combos are safe to
      share; parallel workers prepare theirs domain-locally *)
   let share = jobs <= 1 in
+  let base = List.length locs + 2 in
   let results =
     Pool.run_tasks ~jobs ~tasks:(Array.length tasks) (fun ti ->
         let r, pin, ims = tasks.(ti) in
         let prepare idx = if share then prepare idx else Combo.prepare (paths_of idx) in
         let combo = prepare r in
         let plan = Reduce.make_plan ~model ~locs combo in
+        let conflicts = if races then Combo.conflicts combo else [||] in
         let count = ref 0 and found = ref [] in
         let claim k =
           let ordinal = !count in
           count := !count + k;
-          if ordinal < config.max_graphs then Some ordinal else None
+          if ordinal < config.max_graphs then ordinal else -1
         in
-        let emit ordinal sel trace = found := (ordinal, sel, trace) :: !found in
-        let explored = Reduce.enumerate ?pin ~claim ~emit plan in
+        let emit leaf = found := leaf :: !found in
+        let explored = Reduce.enumerate ?pin ~conflicts ~claim ~emit plan in
         let found = List.rev !found in
-        let execution c trace = { trace; outcome = Combo.outcome ~locs c trace } in
+        (* each kept execution with its combo-local ordinal and races *)
+        let keep c conflicts (l : Reduce.leaf) (trace, order) =
+          ( l.ordinal,
+            ( { trace; outcome = Combo.outcome ~locs c trace },
+              if races then Reduce.races ~base conflicts l.hb order else [] ) )
+        in
         let transport idx =
           if found = [] then []
           else begin
             let to_ = prepare idx in
-            let pi = Symmetry.perm (Option.get sym) idx in
+            let m = Symmetry.event_map ~from:combo ~to_ (Symmetry.perm (Option.get sym) idx) in
+            (* the representative's conflicting pairs, renamed: π is an
+               isomorphism of the graphs, so hb between the renamed
+               events is the representative's *)
+            let conflicts' = Array.map (fun (i, j) -> (m.(i), m.(j))) conflicts in
             List.map
-              (fun (o, sel, _) ->
-                match
-                  Combo.linearize ~locs to_
-                    (Symmetry.map_selection ~from:combo ~to_ pi sel)
-                with
-                | Some trace -> (o, execution to_ trace)
+              (fun (l : Reduce.leaf) ->
+                match Combo.linearize ~locs to_ (Symmetry.map_selection ~to_ m l.sel) with
+                | Some lin -> keep to_ conflicts' l lin
                 | None ->
                     (* the representative's candidate linearized, and
                        the renaming preserves the constraint graph *)
@@ -390,7 +399,7 @@ let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
               found
           end
         in
-        let own = List.map (fun (o, _, trace) -> (o, execution combo trace)) found in
+        let own = List.map (fun (l : Reduce.leaf) -> keep combo conflicts l (l.trace, l.order)) found in
         (!count, explored, own :: List.map transport ims))
   in
   (* fold each representative's tasks back together: a pinned task's
@@ -415,25 +424,18 @@ let run_reduced ~config ~model ~locs ~truncated reduction thread_paths =
       List.iter2 (fun idx a -> Hashtbl.add per_combo idx (!count, List.rev a)) members !acc)
     live_reps;
   (* global merge in combo enumeration order *)
-  let executions = ref [] and prefix = ref 0 in
+  let kept = ref [] and prefix = ref 0 in
   for idx = 0 to total_combos - 1 do
     match Hashtbl.find_opt per_combo idx with
     | None -> () (* infeasible orbit: zero candidates, like the skip above *)
     | Some (count, execs) ->
         List.iter
-          (fun (o, e) ->
-            if !prefix + o < config.max_graphs then executions := e :: !executions)
+          (fun (o, x) -> if !prefix + o < config.max_graphs then kept := x :: !kept)
           execs;
         prefix := !prefix + count
   done;
-  {
-    executions = List.rev !executions;
-    truncated;
-    capped = !prefix > config.max_graphs;
-    graphs = min !prefix config.max_graphs;
-    explored = !explored;
-    races = None;
-  }
+  result_of ~races ~truncated ~capped:(!prefix > config.max_graphs)
+    ~graphs:(min !prefix config.max_graphs) ~explored:!explored !kept
 
 (* The shared front half of [run], also the entry point of the
    architecture backends (Tmx_arch), which reuse the candidate space —
@@ -455,12 +457,13 @@ let unfold_combos config (program : Tmx_lang.Ast.program) =
   in
   (locs, thread_paths, truncated)
 
-let run ?(config = default_config) (model : Model.t) (program : Tmx_lang.Ast.program) =
+let run ?(config = default_config) ?(races = false) (model : Model.t)
+    (program : Tmx_lang.Ast.program) =
   let locs, thread_paths, truncated = unfold_combos config program in
   match config.reduction with
-  | No_reduction -> run_unreduced ~config ~model ~locs ~truncated thread_paths
+  | No_reduction -> run_unreduced ~config ~model ~locs ~races ~truncated thread_paths
   | (Dpor | Dpor_sym) as reduction ->
-      run_reduced ~config ~model ~locs ~truncated reduction thread_paths
+      run_reduced ~config ~model ~locs ~races ~truncated reduction thread_paths
 
 let outcomes result = Outcome.dedup (List.map (fun e -> e.outcome) result.executions)
 

@@ -82,10 +82,12 @@ type result = {
           same whatever [jobs] was, capped runs included. *)
   races : (int * int) list array option;
       (** per execution, in [executions] order: its races at L = every
-          location ({!Tmx_core.Race.races}) under the model that was
-          enumerated.  {!run} leaves it [None]; the verdict cache
-          ([Tmx_service.Cache]) returns [Some] of the pairs it stores, so
-          a race check reads them ({!Tmx_core.Race.restrict},
+          location under the model that was enumerated, equal to
+          [Race.races e.trace (Hb.compute model (Lift.make e.trace))],
+          order included.  [Some] when {!run} was asked with
+          [~races:true], or when the verdict cache
+          ([Tmx_service.Cache]) returns the pairs it stores; [None]
+          otherwise.  A race check reads them ({!Tmx_core.Race.restrict},
           {!Tmx_core.Race.is_mixed}) instead of deriving hb again. *)
 }
 
@@ -99,7 +101,34 @@ val unfold_combos :
     permutations × fence sides — while swapping the consistency check.
     @raise Invalid_argument on an ill-formed program. *)
 
-val run : ?config:config -> Tmx_core.Model.t -> Tmx_lang.Ast.program -> result
+val run :
+  ?config:config -> ?races:bool -> Tmx_core.Model.t -> Tmx_lang.Ast.program -> result
+(** Enumerate the consistent executions under the model.
+
+    [races] (default [false]) also fills [result.races], from the
+    happens-before each strategy already holds when it judges an
+    execution, with no second [Lift.make] + [Hb.compute] pass:
+    - [No_reduction] takes them from the trace-level hb of its
+      consistency check;
+    - [Dpor] reads the leaf's hb once {!Reduce} has judged the leaf
+      (the rules extend it in place), on the combo's conflicting pairs
+      ({!Combo.conflicts}), and maps them to trace positions through the
+      order {!Combo.linearize} chose;
+    - [Dpor_sym] carries that hb on the conflicting pairs along with
+      each transported selection, renames the pairs through π, and
+      orders each pair by the image's own linearization.
+    hb is a relation on the execution graph (WF8–WF11 add nothing at
+    graph level), so the three agree with the trace-derived races.  The
+    pairs are found once per combo, then each execution costs one hb
+    lookup per conflicting pair, and its race list is kept in the
+    result.  That is small beside a cache miss's other work, but not
+    beside a big enumeration's: with it on, [w5r3] (25,920 executions,
+    jobs 1, pm) takes about twice the time and 1.9× the minor words,
+    and perfbench's [verify-corpus] judged 0.72× the programs per
+    second at 2.0× the peak RSS (EXPERIMENTS.md Part 4d'').  So
+    callers that never read races (outcome sets, counts) leave it
+    off. *)
+
 val outcomes : result -> Outcome.t list
 val allowed : result -> (Outcome.t -> bool) -> bool
 val forbidden : result -> (Outcome.t -> bool) -> bool

@@ -32,26 +32,55 @@ end
 type plan
 (** A prepared combo with its choice levels (reads-from per read,
     coherence permutation per written location, WF12 side per fence
-    pair), their widths, and the transaction-class tables the
-    incremental state updates against. *)
+    pair), their widths, and the tables the incremental state updates
+    against: transaction classes as member arrays, each location's
+    reads and init write, and each coherence permutation as an int
+    array with its position array.  Built once, so that applying a
+    choice hashes nothing, compares no string and builds no list. *)
 
 val make_plan : model:Model.t -> locs:string list -> Combo.t -> plan
 
+(** A consistent candidate, as the walk emits it. *)
+type leaf = {
+  ordinal : int;  (** its candidate ordinal *)
+  sel : Combo.selection;
+  trace : Trace.t;  (** its linearization ({!Combo.linearize}) *)
+  order : int array;  (** the combo events in trace order *)
+  hb : int array;
+      (** per conflicting pair [(i, j)] passed to {!enumerate}: bit 0 is
+          hb(i, j) and bit 1 is hb(j, i), under the plan's model, read
+          off the leaf's happens-before once its check has extended it;
+          [[||]] when no pairs were passed *)
+}
+
 val enumerate :
   ?pin:int ->
-  claim:(int -> int option) ->
-  emit:(int -> Combo.selection -> Trace.t -> unit) ->
+  ?conflicts:(int * int) array ->
+  claim:(int -> int) ->
+  emit:(leaf -> unit) ->
   plan ->
   int
 (** Walk the plan's candidates in unreduced product order, optionally
     pinning the first level's choice (the parallel task split).
     [claim k] accounts for [k] candidates and returns the ordinal of the
-    first if it is to be processed ([None] past the graph cap); pruned
+    first if it is to be processed, or -1 past the graph cap; pruned
     subtrees are bulk-claimed, so ordinals and totals coincide with the
     unreduced enumerator.  A walk pinned to choice [k] first bulk-claims
     the subtrees of choices [0 .. k-1], so its ordinals are those of the
     unpinned walk, and a cap stops it where it stops that walk.  [emit]
-    receives each consistent candidate's
-    ordinal, selection and linearized trace.  Returns the number of
-    candidates whose leaf consistency check actually ran (the [explored]
-    statistic). *)
+    receives each consistent candidate, with the leaf's hb on
+    [conflicts] (default none; pass {!Combo.conflicts} of the plan's
+    combo to get {!races}).  Returns the number of candidates whose leaf
+    consistency check actually ran (the [explored] statistic). *)
+
+val races :
+  base:int -> (int * int) array -> int array -> int array -> (int * int) list
+(** [races ~base conflicts hb order]: the races at L = every location
+    of the linearization [order] (combo events in trace order, the first
+    at trace position [base] = #locs + 2), given a leaf's [hb] on
+    [conflicts].  For a representative's leaf, [conflicts] are those
+    passed to {!enumerate}; for an image combo, the same pairs renamed
+    through the symmetry's {!Symmetry.event_map}, with the
+    representative's [hb] and the image's own [order].  Sorted as
+    {!Tmx_core.Race.races} sorts them: equal to
+    [Race.races trace (Hb.compute model (Lift.make trace))]. *)

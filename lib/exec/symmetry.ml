@@ -221,19 +221,20 @@ let loc_of_write (combo : Combo.t) e =
   | Proto.PWrite (x, _) -> x
   | _ -> assert false
 
-(* Rename a representative combo's selection into the image combo's
-   event indices: event (thread i, offset o) maps to (thread π i, o);
-   location keys are re-read off the image's own events, so σ never
-   needs materializing. *)
-let map_selection ~(from : Combo.t) ~(to_ : Combo.t) (pi : int array)
-    (sel : Combo.selection) : Combo.selection =
+(* Event (thread i, offset o) of the representative is event
+   (thread π i, o) of the image. *)
+let event_map ~(from : Combo.t) ~(to_ : Combo.t) (pi : int array) =
   let off_f = from.Combo.offsets and off_t = to_.Combo.offsets in
-  let m e =
-    if e < 0 then e
-    else
-      let th = from.ev.(e).Combo.thread in
-      off_t.(pi.(th)) + (e - off_f.(th))
-  in
+  Array.mapi
+    (fun e (g : Combo.gevent) -> off_t.(pi.(g.thread)) + (e - off_f.(g.thread)))
+    from.ev
+
+(* Rename a representative combo's selection into the image combo's
+   event indices through the event map; location keys are re-read off
+   the image's own events, so σ never needs materializing. *)
+let map_selection ~(to_ : Combo.t) (m : int array) (sel : Combo.selection) :
+    Combo.selection =
+  let m e = if e < 0 then e else m.(e) in
   {
     rf_sel = List.map (fun (r, w) -> (m r, m w)) sel.rf_sel;
     ww_sel =

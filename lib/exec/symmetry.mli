@@ -43,9 +43,12 @@ val rep : t -> int -> int
 val perm : t -> int -> int array
 (** The thread permutation mapping a combo's representative onto it. *)
 
-val map_selection :
-  from:Combo.t -> to_:Combo.t -> int array -> Combo.selection -> Combo.selection
+val event_map : from:Combo.t -> to_:Combo.t -> int array -> int array
+(** [event_map ~from ~to_ pi]: the image combo's event for each event of
+    the representative — event (thread i, offset o) maps to
+    (thread π i, o). *)
+
+val map_selection : to_:Combo.t -> int array -> Combo.selection -> Combo.selection
 (** Rename a representative combo's selection into the image combo's
-    event indices: event (thread i, offset o) maps to (thread π i, o);
-    location keys are re-read off the image's own events, so σ never
-    needs materializing. *)
+    event indices through an {!event_map}; location keys are re-read off
+    the image's own events, so σ never needs materializing. *)

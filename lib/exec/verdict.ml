@@ -20,20 +20,21 @@ let execution_races ?l model (trace : Trace.t) =
   let hb = Hb.compute model ctx in
   Race.races ?l trace hb
 
+(* Each execution with its races at L = Loc, read off the enumerator's
+   own hb ([Enumerate.run ~races:true]). *)
+let with_races ?config model program =
+  let result = Enumerate.run ?config ~races:true model program in
+  List.combine result.executions (Array.to_list (Option.get result.races))
+
 let racy ?config ?l model program =
-  let result = Enumerate.run ?config model program in
   List.exists
-    (fun (e : Enumerate.execution) -> execution_races ?l model e.trace <> [])
-    result.executions
+    (fun ((e : Enumerate.execution), races) -> Race.restrict ?l e.trace races <> [])
+    (with_races ?config model program)
 
 let mixed_racy ?config model program =
-  let result = Enumerate.run ?config model program in
   List.exists
-    (fun (e : Enumerate.execution) ->
-      let ctx = Lift.make e.trace in
-      let hb = Hb.compute model ctx in
-      Race.has_mixed_race e.trace hb)
-    result.executions
+    (fun ((e : Enumerate.execution), races) -> List.exists (Race.is_mixed e.trace) races)
+    (with_races ?config model program)
 
 (* -- concrete race witnesses -------------------------------------------------- *)
 
@@ -57,10 +58,8 @@ let pp_race_witness ppf w =
    is restricted to mixed races (§5); otherwise any L-race counts, and
    [mixed] records which kind the reported pair is. *)
 let race_witness ?config ?l ?(mixed_only = false) model program =
-  let result = Enumerate.run ?config model program in
   List.find_map
-    (fun (e : Enumerate.execution) ->
-      let races = execution_races model e.trace in
+    (fun ((e : Enumerate.execution), races) ->
       let pairs =
         if mixed_only then List.filter (Race.is_mixed e.trace) races
         else Race.restrict ?l e.trace races
@@ -75,7 +74,7 @@ let race_witness ?config ?l ?(mixed_only = false) model program =
               threads = (Trace.thread e.trace b, Trace.thread e.trace c);
               mixed = Race.is_mixed e.trace (b, c);
             })
-    result.executions
+    (with_races ?config model program)
 
 (* -- SC-LTRF ----------------------------------------------------------------- *)
 

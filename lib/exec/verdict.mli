@@ -13,7 +13,11 @@ val forbidden :
 
 val execution_races :
   ?l:string list -> Model.t -> Trace.t -> (int * int) list
-(** The L-races of one trace under the model's happens-before. *)
+(** The L-races of one trace under the model's happens-before, derived
+    from the trace alone ([Lift.make], [Hb.compute], [Race.races]): the
+    independent reference that [Enumerate.run ~races:true] is held to.
+    {!racy}, {!mixed_racy} and {!race_witness} read the enumerator's
+    races instead. *)
 
 val racy :
   ?config:Enumerate.config ->

@@ -275,16 +275,32 @@ let check_jobs_det ctx (p : Ast.program) =
    [Dpor] promises bit-identical results to the unreduced reference —
    executions in the same order.  [Dpor_sym] promises the same verdicts
    and candidate accounting with the execution multiset preserved (the
-   order within a symmetry orbit is the representative's). *)
+   order within a symmetry orbit is the representative's).  Each
+   strategy also takes every execution's races from its own hb (the
+   trace's, the leaf's, a representative's leaf renamed through π): they
+   must agree across strategies, execution by execution, and with the
+   races derived again from the trace. *)
 let check_reduction_det _ctx (p : Ast.program) =
   under_models (fun model ->
       let run reduction =
-        Enumerate.run ~config:{ seq_config with reduction } model p
+        Enumerate.run ~config:{ seq_config with reduction } ~races:true model p
       in
       let rn = run Enumerate.No_reduction in
       let rd = run Enumerate.Dpor in
       let rs = run Enumerate.Dpor_sym in
       let kn = List.map exec_key rn.executions in
+      (* each execution's key with its races *)
+      let keyed (r : Enumerate.result) =
+        List.combine (List.map exec_key r.executions)
+          (Array.to_list (Option.get r.races))
+      in
+      let trace_races (r : Enumerate.result) =
+        List.for_all2
+          (fun (e : Enumerate.execution) races ->
+            races = Verdict.execution_races model e.trace)
+          r.executions
+          (Array.to_list (Option.get r.races))
+      in
       if rn.graphs <> rd.graphs || rn.graphs <> rs.graphs then
         Fail
           (Fmt.str "graphs: %d none, %d dpor, %d dpor+sym" rn.graphs rd.graphs
@@ -304,6 +320,11 @@ let check_reduction_det _ctx (p : Ast.program) =
              "explored states grew under reduction: %d none, %d dpor, %d \
               dpor+sym"
              rn.explored rd.explored rs.explored)
+      else if not (trace_races rn) then
+        Fail "races of the unreduced reference differ from the trace-derived ones"
+      else if keyed rn <> keyed rd then Fail "dpor's leaf races differ from the reference's"
+      else if List.sort compare (keyed rn) <> List.sort compare (keyed rs) then
+        Fail "dpor+sym's races differ from the reference's"
       else Pass)
 
 (* -- repair-sound ------------------------------------------------------------- *)

@@ -32,7 +32,10 @@
                       unreduced reference, and under [Dpor_sym] preserves the
                       execution multiset, graphs, caps, and monotonically
                       shrinks explored states, under pm and the strongest
-                      variant                                                      |
+                      variant.  With [~races:true], each execution's races
+                      (read off each strategy's own hb) agree across the
+                      three strategies, execution by execution, and with
+                      the races derived again from the trace               |
     | [repair-sound]| synthesized repairs re-verify mixed-race-free, and every
                       edit is load-bearing                                         |
     | [arch-diff]   | x86-TSO and the C++-TM mapping validate the strongest

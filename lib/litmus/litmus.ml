@@ -5,9 +5,11 @@
    Race and mixed-race checks are filters of one execution's races at
    L = Loc: an L-race is a race on a location in L (Race.restrict), a
    mixed race one between a transactional and a plain write
-   (Race.is_mixed).  When the enumeration comes from the verdict cache
-   it carries those races ([Enumerate.result.races]) and the checks read
-   them; otherwise each execution's hb is derived here.
+   (Race.is_mixed).  The enumeration carries those races
+   ([Enumerate.result.races]): the default one asks the enumerator for
+   them under a model that has race checks, and the verdict cache
+   stores them.  Only a replacement [enumerate] that returns none makes
+   the checks derive each execution's hb here.
 
    The catalog of the paper's examples lives in [Catalog]. *)
 
@@ -120,15 +122,27 @@ type report = {
 let passed report = List.for_all (fun r -> r.ok) report.results
 
 (* The races at L = Loc of execution [i] of [result] under [model]: the
-   pairs the verdict cache stored with the enumeration, when it came
-   from the cache; else derived from the trace's hb. *)
+   pairs the enumeration carries, else derived from the trace's hb. *)
 let races_of model (result : Enumerate.result) i (e : Enumerate.execution) =
   match result.races with
   | Some races -> races.(i)
   | None -> Verdict.execution_races model e.trace
 
-let run ?(config = Enumerate.default_config)
-    ?(enumerate = fun ~config m p -> Enumerate.run ~config m p) litmus =
+(* Whether [check] reads the races of [m]'s enumeration. *)
+let reads_races (m : Model.t) = function
+  | Race_check { model; _ } | Mixed_race_check { model; _ } -> String.equal model.name m.name
+  | Outcome_check _ | Exec_check _ -> false
+
+let run ?(config = Enumerate.default_config) ?enumerate litmus =
+  (* by default the races come from the walk, under a model whose checks
+     read them: elsewhere they would be built for nothing *)
+  let enumerate =
+    match enumerate with
+    | Some f -> f
+    | None ->
+        fun ~config m p ->
+          Enumerate.run ~config ~races:(List.exists (reads_races m) litmus.checks) m p
+  in
   (* enumerate once per distinct model *)
   let cache : (string, Enumerate.result) Hashtbl.t = Hashtbl.create 4 in
   let result_for model =

@@ -75,7 +75,8 @@ val run :
   report
 (** Run every check, enumerating once per distinct model.
 
-    [enumerate] (default [Enumerate.run]) is how each per-model
+    [enumerate] (default [Enumerate.run], with [~races:true] under a
+    model that has race or mixed-race checks) is how each per-model
     enumeration is obtained; [Tmx_service.Cache.memo_run] plugs in here
     to serve enumerations from the verdict cache (`tmx litmus --cache`)
     without this library depending on the service layer.  Any

@@ -28,19 +28,20 @@ type verdict = {
 
 (* -- the miss path ---------------------------------------------------------- *)
 
+(* One walk: the enumerator takes each execution's races from the hb it
+   already holds when it judges the execution. *)
 let compute ~config model program =
-  let result = Enumerate.run ~config model program in
-  let n = List.length result.executions in
-  let races = Array.make n [] in
-  let mixed = Array.make n false in
-  List.iteri
-    (fun i (e : Enumerate.execution) ->
-      races.(i) <- Race.races e.trace (Hb.compute model (Lift.make e.trace));
-      mixed.(i) <- List.exists (Race.is_mixed e.trace) races.(i))
-    result.executions;
+  let result = Enumerate.run ~config ~races:true model program in
+  let races = Option.get result.races in
+  let mixed =
+    Array.of_list
+      (List.mapi
+         (fun i (e : Enumerate.execution) -> List.exists (Race.is_mixed e.trace) races.(i))
+         result.executions)
+  in
   let lint = Tmx_analysis.Lint.lint program in
   {
-    result = { result with races = Some races };
+    result;
     races;
     mixed;
     lint_race_free = Tmx_analysis.Lint.race_free lint;

@@ -81,7 +81,11 @@ type verdict = {
 
 val compute : config:Enumerate.config -> Model.t -> Ast.program -> verdict
 (** Enumerate and derive the full verdict — the cache-miss path, also
-    usable standalone (no cache involved). *)
+    usable standalone (no cache involved).  Its cost is one
+    [Enumerate.run ~races:true], which reads each execution's races off
+    the happens-before the walk already built (one hb lookup per
+    conflicting pair per execution, no [Lift.make] or [Hb.compute]),
+    one scan of each execution's races for a mixed pair, and the lint. *)
 
 type t
 

@@ -254,6 +254,90 @@ let test_golden () =
         (digest_of [ run ~max_graphs:5000 reduction Model.programmer w3o3 ]))
     golden
 
+(* Races at the leaf.  [Enumerate.run ~races:true] reads each
+   execution's races off the hb its strategy already holds (the trace's
+   hb without reduction, the leaf's under dpor, the representative's
+   leaf renamed through π for a symmetry image); the independent
+   reference derives them again from the trace. *)
+let run_races ?(jobs = 1) ?(max_graphs = Enumerate.default_config.max_graphs)
+    reduction model p =
+  Enumerate.run ~races:true
+    ~config:{ Enumerate.default_config with jobs; max_graphs; reduction }
+    model p
+
+let races_match model (r : Enumerate.result) =
+  match r.races with
+  | None -> Error "no races returned"
+  | Some races when Array.length races <> List.length r.executions ->
+      Error "one race list per execution"
+  | Some races ->
+      let bad = ref None in
+      List.iteri
+        (fun i (e : Enumerate.execution) ->
+          if !bad = None && races.(i) <> Verdict.execution_races model e.trace then
+            bad := Some (Fmt.str "execution %d: %a" i Trace.pp_compact e.trace))
+        r.executions;
+      Option.fold ~none:(Ok ()) ~some:Result.error !bad
+
+let check_races name model r =
+  match races_match model r with Ok () -> () | Error m -> Alcotest.failf "%s: %s" name m
+
+let strategies = [ Enumerate.No_reduction; Enumerate.Dpor; Enumerate.Dpor_sym ]
+
+(* At jobs 1 only: no catalog program reaches the pool's threshold, so
+   jobs 2 would run the same sequential path; the pool is
+   [test_leaf_races_pool]'s. *)
+let test_leaf_races_catalog () =
+  List.iter
+    (fun (lit : Tmx_litmus.Litmus.t) ->
+      List.iter
+        (fun (model : Model.t) ->
+          List.iter
+            (fun reduction ->
+              check_races
+                (Fmt.str "%s/%s %s" lit.name model.name (Enumerate.reduction_name reduction))
+                model
+                (run_races reduction model lit.program))
+            strategies)
+        Model.all)
+    Tmx_litmus.Catalog.all
+
+(* Two interchangeable readers whose races depend on what they read: a
+   reader that sees y = 1 has T0's plain x write hb-before its own plain
+   read of x (po ; cwr ; po), one that sees y = 0 races with it.  So an
+   image combo (the readers' paths swapped) races at other trace
+   positions than its representative, which neither the catalog nor
+   w3o3 shows: images there race exactly where their representatives
+   do. *)
+let mp2 =
+  let open Tmx_lang.Ast in
+  let x = loc "x" and y = loc "y" in
+  program ~name:"mp2" ~locs:[ "x"; "y" ]
+    [
+      [ store x (int 1); atomic [ store y (int 1) ] ];
+      [ atomic [ load "a" y ]; load "b" x ];
+      [ atomic [ load "a" y ]; load "b" x ];
+    ]
+
+let test_leaf_races_images () =
+  List.iter
+    (fun (model : Model.t) ->
+      check_races ("mp2/" ^ model.name) model
+        (run_races Enumerate.Dpor_sym model mp2))
+    Model.all
+
+(* w3o3 is big enough for the pool at jobs 2: the unreduced tasks read
+   their trace's hb, dpor's pinned tasks their own leaves, and under
+   dpor+sym the images are transported inside the workers. *)
+let test_leaf_races_pool () =
+  List.iter
+    (fun reduction ->
+      let name = "w3o3 " ^ Enumerate.reduction_name reduction in
+      check_races name Model.programmer
+        (Test_parallel.in_pool name (fun () ->
+             run_races ~jobs:2 ~max_graphs:5000 reduction Model.programmer w3o3)))
+    strategies
+
 (* A thread-symmetric program must collapse orbits: interchangeable
    readers over one location. *)
 let test_symmetry_bites () =
@@ -308,6 +392,21 @@ let prop_reduction_sound =
                rs.executions)
         [ Model.programmer; Model.implementation; Model.bare ])
 
+let prop_leaf_races =
+  QCheck.Test.make ~name:"leaf races = trace-derived races on random mixed programs"
+    ~count:60 arb_mixed (fun p ->
+      List.for_all
+        (fun (model : Model.t) ->
+          List.for_all
+            (fun reduction ->
+              match races_match model (run_races reduction model p) with
+              | Ok () -> true
+              | Error m ->
+                  QCheck.Test.fail_reportf "%s %s: %s" model.name
+                    (Enumerate.reduction_name reduction) m)
+            strategies)
+        [ Model.programmer; Model.implementation ])
+
 let suite =
   [
     Alcotest.test_case "catalog jobs x reduction matrix" `Slow test_catalog_matrix;
@@ -317,7 +416,9 @@ let suite =
     Tb.qcheck prop_reduction_sound;
   ]
 
-(* Under a second, so not among the exhaustive suites (test/main.ml). *)
+(* About four seconds on 2 vCPUs, most of it the leaf-race tests'
+   trace-derived reference, so not among the exhaustive suites
+   (test/main.ml). *)
 let quick_suite =
   [
     Alcotest.test_case "catalog x every model, dpor = none" `Quick
@@ -325,4 +426,11 @@ let quick_suite =
     Alcotest.test_case "graph cap inside an image combo at every jobs" `Quick
       test_capped_images;
     Alcotest.test_case "golden trace digests: catalog, w3o3 capped" `Quick test_golden;
+    Alcotest.test_case "leaf races = trace races: catalog x every model x strategy" `Quick
+      test_leaf_races_catalog;
+    Alcotest.test_case "leaf races = trace races: images that race elsewhere" `Quick
+      test_leaf_races_images;
+    Alcotest.test_case "leaf races = trace races: w3o3 capped, in the pool" `Quick
+      test_leaf_races_pool;
+    Tb.qcheck prop_leaf_races;
   ]

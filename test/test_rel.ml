@@ -226,6 +226,9 @@ let prop_model =
       check "equal" (Rel.equal ra (Rel.copy ra) && Rel.equal ra rb = (a = b));
       check "equal after add"
         (n = 0 || Rel.equal ra ca = Hashtbl.mem sa (u, v));
+      let target = Rel.copy rb in
+      Rel.blit ~src:ra ~dst:target;
+      check "blit" (is a target && is b rb);
       (* set algebra *)
       check "union" (is (norm (a @ b)) (Rel.union ra rb));
       check "inter" (is (List.filter (Hashtbl.mem sb) a) (Rel.inter ra rb));
@@ -270,6 +273,15 @@ let prop_model =
         check "add_edge_closed"
           (is (model_closure n ((u, v) :: closed)) r
           && fresh = not (List.mem (u, v) closed))
+      end;
+      if n > 0 then begin
+        (* against [c] minus the closed pairs, so the two start disjoint *)
+        let c' = List.filter (fun p -> not (List.mem p closed)) c in
+        let r = Rel.transitive_closure ra in
+        let meets = Rel.add_edge_closed_meets r u v (rel_of n c') in
+        let after = model_closure n ((u, v) :: closed) in
+        check "add_edge_closed_meets"
+          (is after r && meets = List.exists (fun p -> List.mem p after) c')
       end;
       let r = Rel.transitive_closure ra in
       let changed = Rel.union_into_closed ~into:r rb in
