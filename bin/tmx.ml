@@ -69,7 +69,9 @@ let jobs_arg =
           "Enumerate on $(docv) domains (0 = all cores; never more than \
            the machine has).  Verdicts are bit-identical to -j 1; only \
            the wall clock changes.  The algorithmic speed lever is \
-           $(b,--reduction); the pool multiplies whatever is left.")
+           $(b,--reduction); the pool multiplies whatever is left.  \
+           $(b,--reduction none), the reference, always runs on one \
+           domain.")
 
 let reduction_conv =
   let parse s =
@@ -1083,6 +1085,11 @@ let theorems_cmd =
     in
     Result.map
       (fun tests ->
+        let failed = ref false in
+        let verdict ok =
+          if not ok then failed := true;
+          if ok then "ok" else "FAIL"
+        in
         List.iter
           (fun (l : Tmx_litmus.Litmus.t) ->
             let sc = Verdict.check_sc_ltrf ~config Model.programmer l.program in
@@ -1091,13 +1098,11 @@ let theorems_cmd =
             Fmt.pr
               "%-28s SC-LTRF:%s (seq-racy:%b weak:%b contained:%b)  Thm4.2:%s \
                Lemma5.1:%s (%d/%d)@."
-              l.name
-              (if sc.theorem_holds then "ok" else "FAIL")
-              sc.sc_racy sc.weak_exists sc.outcomes_contained
-              (if t42 then "ok" else "FAIL")
-              (if l51.holds then "ok" else "FAIL")
+              l.name (verdict sc.theorem_holds) sc.sc_racy sc.weak_exists
+              sc.outcomes_contained (verdict t42) (verdict l51.holds)
               l51.pm_consistent l51.mixed_race_free)
-          tests)
+          tests;
+        if !failed then exit 1)
       tests
   in
   let term =
@@ -1105,7 +1110,10 @@ let theorems_cmd =
   in
   Cmd.v
     (Cmd.info "theorems"
-       ~doc:"Empirically check SC-LTRF, Theorem 4.2 and Lemma 5.1 on programs.")
+       ~doc:
+         "Empirically check SC-LTRF, Theorem 4.2 and Lemma 5.1 on programs \
+          (the whole catalog when no names are given); exits 1 when any \
+          check fails.")
     term
 
 (* -- models / show -------------------------------------------------------------- *)
@@ -1322,6 +1330,14 @@ let socket_arg =
 
 let serve_cmd =
   let open Tmx_service in
+  let jobs_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Answer the items of a $(b,batch) request on $(docv) domains \
+             (0 = all cores).  Each item enumerates on one domain.")
+  in
   let workers_arg =
     Arg.(
       value & opt int 2
@@ -1960,7 +1976,7 @@ let arch_cmd =
     let run jobs model arch name =
       Result.map
         (fun (name, program) ->
-          let config = config_of_jobs jobs Enumerate.No_reduction in
+          let config = config_of_jobs jobs Enumerate.default_config.reduction in
           let v = Diff.check ~config arch model program in
           Fmt.pr "%s: %a@." name Diff.pp_verdict v;
           if not (v.Diff.validated || v.Diff.fences <> None) then exit 1)
@@ -1983,7 +1999,7 @@ let arch_cmd =
     let run jobs model arch name =
       Result.map
         (fun (name, program) ->
-          let config = config_of_jobs jobs Enumerate.No_reduction in
+          let config = config_of_jobs jobs Enumerate.default_config.reduction in
           let a = Aexec.run ~config arch program in
           let r = Enumerate.run ~config model program in
           let vo = Enumerate.outcomes r in
@@ -2025,7 +2041,7 @@ let arch_cmd =
     let run jobs check all names =
       Result.map
         (fun programs ->
-          let config = config_of_jobs jobs Enumerate.No_reduction in
+          let config = config_of_jobs jobs Enumerate.default_config.reduction in
           let failures = ref 0 in
           let fail fmt =
             incr failures;

@@ -433,17 +433,3 @@ let summaries (p : Ast.program) =
          accesses)
   in
   List.map (summarize_loc accesses) (declared @ extra)
-
-(* per-thread, per-location counts — the raw summary table *)
-let thread_summaries (p : Ast.program) =
-  let accesses = of_program p in
-  List.concat
-    (List.mapi
-       (fun i _ ->
-         let mine = List.filter (fun a -> a.thread = i) accesses in
-         List.filter_map
-           (fun loc ->
-             let s = summarize_loc mine loc in
-             if s.class_ = Unused then None else Some (i, s))
-           p.locs)
-       p.threads)

@@ -125,5 +125,3 @@ val summaries : Ast.program -> summary list
 (** One summary per declared location (in declaration order), followed
     by any undeclared footprint names the program mentions. *)
 
-val thread_summaries : Ast.program -> (int * summary) list
-(** The per-thread, per-location table; unused rows omitted. *)

@@ -32,14 +32,6 @@ type reason =
   | Must_abort
   | Guard_dominated of string
 
-let pp_reason ppf = function
-  | Same_thread -> Fmt.string ppf "same thread (program order)"
-  | Both_transactional -> Fmt.string ppf "both transactional"
-  | Both_reads -> Fmt.string ppf "both reads"
-  | Must_abort -> Fmt.string ppf "always-aborted transaction"
-  | Guard_dominated f ->
-      Fmt.pf ppf "guard-dominated via flag %s (cwr + po in the HB base)" f
-
 type protection =
   | Fence_commit_side of string
       (* the plain access is dominated by fence(x): transactions on x

@@ -28,8 +28,6 @@ type reason =
           loop-free threads and program-global write facts, hence the
           [?ctx] argument of {!pair}) *)
 
-val pp_reason : reason Fmt.t
-
 type protection =
   | Fence_commit_side of string
       (** the plain access is dominated by a fence on the raced

@@ -4,13 +4,14 @@
    Weak architectures (ARMv8 without dependency ordering) admit
    executions — load buffering — that no well-formed LTRF trace can
    witness, so the backends cannot ride the trace pipeline; they share
-   the candidate space (Enumerate.unfold_combos, Combo's choice points)
-   and judge each candidate as a graph: reads-from, coherence and
-   from-reads from the selection, program order and barriers from the
-   combo, transactions as atomic classes bounded by full fences, the
-   quiescence fence Qx as the architecture's full barrier plus the
-   runtime's WF12 ordering choice, and aborted transactions as invisible
-   speculation (reads-from in, no coherence or antidependencies out).
+   the candidate space and the reference's candidate loop
+   (Enumerate.unfold_combos, then Combo.iter_candidates) and judge each
+   candidate as a graph: reads-from, coherence and from-reads from the
+   selection, program order and barriers from the combo, transactions
+   as atomic classes bounded by full fences, the quiescence fence Qx as
+   the architecture's full barrier plus the runtime's WF12 ordering
+   choice, and aborted transactions as invisible speculation
+   (reads-from in, no coherence or antidependencies out).
 
    Axioms per architecture are in the .mli; the lattice fact the
    differential oracle leans on — tso-consistent ⊆ armv8-consistent and
@@ -138,7 +139,7 @@ let lifted_acyclic ctx rel =
       if ctx.cls.(i) <> ctx.cls.(j) then Rel.add q ctx.cls.(i) ctx.cls.(j));
   Rel.is_acyclic q
 
-let judge arch ctx ~rf_sel ~ww_sel ~fence_sel =
+let judge arch ctx { Combo.rf_sel; ww_sel; fence_sel } =
   let ev = ctx.combo.Combo.ev in
   let n = ctx.n in
   (* reads-from; external part; transaction-to-transaction part *)
@@ -253,42 +254,14 @@ let outcome ctx ~ww_sel ~locs =
 let run ?(config = Enumerate.default_config) ?(fences = []) arch program =
   let locs, thread_paths, truncated = Enumerate.unfold_combos config program in
   let outcomes = ref [] in
-  let graphs = ref 0 in
-  let capped = ref false in
-  Combo.product thread_paths (fun paths ->
-      let combo = Combo.prepare paths in
-      let read_choices = List.map (Combo.rf_candidates combo) combo.Combo.reads in
-      if List.exists (fun c -> c = []) read_choices then ()
-      else begin
+  let graphs, capped =
+    Combo.iter_candidates ~max_graphs:config.max_graphs thread_paths (fun combo ->
         let ctx = make_ctx ~fences combo in
-        let locs_written = Combo.locs_written combo in
-        let ww_choices =
-          List.map
-            (fun x -> Combo.permutations (Combo.writes_of combo x))
-            locs_written
-        in
-        let fence_pairs = Combo.fence_pairs combo in
-        let fence_keys = List.map fst fence_pairs in
-        let fence_opts = List.map snd fence_pairs in
-        Combo.product read_choices (fun rf_raw ->
-            Combo.product ww_choices (fun ww_raw ->
-                Combo.product fence_opts (fun fc_raw ->
-                    if !graphs >= config.max_graphs then capped := true
-                    else begin
-                      incr graphs;
-                      let rf_sel = List.combine combo.Combo.reads rf_raw in
-                      let ww_sel = List.combine locs_written ww_raw in
-                      let fence_sel = List.combine fence_keys fc_raw in
-                      if judge arch ctx ~rf_sel ~ww_sel ~fence_sel then
-                        outcomes := outcome ctx ~ww_sel ~locs :: !outcomes
-                    end)))
-      end);
-  {
-    outcomes = Outcome.dedup !outcomes;
-    truncated;
-    capped = !capped;
-    graphs = !graphs;
-  }
+        fun sel ->
+          if judge arch ctx sel then
+            outcomes := outcome ctx ~ww_sel:sel.Combo.ww_sel ~locs :: !outcomes)
+  in
+  { outcomes = Outcome.dedup !outcomes; truncated; capped; graphs }
 
 let plain_load_sites ?(config = Enumerate.default_config) program =
   let _, thread_paths, _ = Enumerate.unfold_combos config program in

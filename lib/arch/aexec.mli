@@ -3,12 +3,13 @@
 
     The candidate space is exactly the LTRF enumerator's — per-thread
     control paths × reads-from choices × per-location coherence orders ×
-    quiescence-fence sides ({!Tmx_exec.Enumerate.unfold_combos},
-    {!Tmx_exec.Combo}) — but candidates are judged as {e graphs} under
-    the architecture's axioms instead of being linearized: weak
-    architectures admit executions (load buffering on ARMv8) that no
-    well-formed trace can witness, so the trace-based pipeline cannot
-    represent them.
+    quiescence-fence sides, walked by the unreduced reference's own
+    candidate loop and cap ({!Tmx_exec.Enumerate.unfold_combos},
+    {!Tmx_exec.Combo.iter_candidates}) — but candidates are judged as
+    {e graphs} under the architecture's axioms instead of being
+    linearized: weak architectures admit executions (load buffering on
+    ARMv8) that no well-formed trace can witness, so the trace-based
+    pipeline cannot represent them.
 
     The transactional compilation is shared by all three backends:
 

@@ -25,7 +25,6 @@ let is_write = function Write _ -> true | _ -> false
 let is_read = function Read _ -> true | _ -> false
 let is_memory = function Write _ | Read _ -> true | _ -> false
 let is_begin = function Begin -> true | _ -> false
-let is_resolution = function Commit | Abort -> true | _ -> false
 let is_qfence = function Qfence _ -> true | _ -> false
 
 let loc_of = function
@@ -35,10 +34,6 @@ let loc_of = function
 
 let value_of = function
   | Write { value; _ } | Read { value; _ } -> Some value
-  | Begin | Commit | Abort | Qfence _ -> None
-
-let ts_of = function
-  | Write { ts; _ } | Read { ts; _ } -> Some ts
   | Begin | Commit | Abort | Qfence _ -> None
 
 (* Memory footprint only: a fence is not a memory access (it has its own

@@ -30,12 +30,10 @@ val is_write : t -> bool
 val is_read : t -> bool
 val is_memory : t -> bool
 val is_begin : t -> bool
-val is_resolution : t -> bool
 val is_qfence : t -> bool
 
 val loc_of : t -> loc option
 val value_of : t -> value option
-val ts_of : t -> Rat.t option
 
 val touches : loc -> t -> bool
 (** [touches x a] holds when [a] is a read or write on location [x].

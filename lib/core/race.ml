@@ -29,8 +29,6 @@ let races ?l t hb =
   done;
   List.rev !acc
 
-let has_race ?l t hb = races ?l t hb <> []
-
 (* An L-race is a race on a location in L (both actions access the
    same one), so the L-races are a filter of the races at L = Loc. *)
 let restrict ?l t pairs =

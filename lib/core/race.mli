@@ -12,8 +12,6 @@ val l_conflict : ?l:string list -> Trace.t -> int -> int -> bool
 val races : ?l:string list -> Trace.t -> Rel.t -> (int * int) list
 (** All L-races of the trace under the given happens-before. *)
 
-val has_race : ?l:string list -> Trace.t -> Rel.t -> bool
-
 val restrict : ?l:string list -> Trace.t -> (int * int) list -> (int * int) list
 (** The pairs of a race list whose location is in [l]: on the races at
     L = every location, [restrict ?l t (races t hb) = races ?l t hb].

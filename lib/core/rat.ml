@@ -36,8 +36,6 @@ let between a b =
 let succ a = add a one
 let pred a = sub a one
 
-let to_float a = float_of_int a.num /. float_of_int a.den
-
 (* no formatter: this prints every timestamp of every cached event *)
 let to_string a =
   if a.den = 1 then string_of_int a.num

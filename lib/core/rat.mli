@@ -30,6 +30,5 @@ val between : t -> t -> t
 val succ : t -> t
 val pred : t -> t
 
-val to_float : t -> float
 val pp : t Fmt.t
 val to_string : t -> string

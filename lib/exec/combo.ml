@@ -5,11 +5,12 @@
    WF-constraint linearizer that turns one selection of those choices
    into a concrete well-formed trace.
 
-   The unreduced enumerator iterates the full selection product and
-   linearizes every candidate; the reduced enumerator walks the same
-   product as a prefix tree, pruning subtrees, and only linearizes the
-   survivors — both through the functions here, so a given selection
-   yields bit-identical traces whichever strategy picked it. *)
+   The unreduced enumerator and the architecture backends iterate the
+   full selection product through [iter_candidates]; the reduced
+   enumerator walks the same product as a prefix tree, pruning
+   subtrees, and only linearizes the survivors — both through the
+   functions here, so a given selection yields bit-identical traces
+   whichever strategy picked it. *)
 
 open Tmx_core
 
@@ -205,7 +206,7 @@ let rf_candidates combo i =
   | _ -> assert false
 
 (* Reads-from candidates of the combo's first read — the top level of
-   the candidate prefix tree, which the parallel driver fans tasks
+   the candidate prefix tree, which the reduced enumerator fans pool tasks
    over.  [None] when the combo has no reads. *)
 let first_read_width combo =
   match combo.reads with
@@ -232,11 +233,11 @@ let fence_pairs combo =
         (List.init n Fun.id))
     combo.fences
 
-(* Saturating upper estimate of a combo's candidate-graph count:
-   Π |rf candidates| × Π |coherence permutations| × Π |fence sides|.
-   Cheap arithmetic over the prepared indices, used to decide whether a
-   run is worth a domain pool at all. *)
-let estimated_graphs combo =
+(* A combo's candidate-graph count: Π |rf candidates| × Π |coherence
+   permutations| × Π |fence sides|, the product of the reduced walk's
+   level widths.  Exact below its saturation bound of 10^9, far above
+   any graph cap; cheap arithmetic over the prepared indices. *)
+let graph_count combo =
   let cap = 1_000_000_000 in
   let sat a b = if a = 0 || b = 0 then 0 else if a > cap / b then cap else a * b in
   let rec fact k = if k <= 1 then 1 else sat k (fact (k - 1)) in
@@ -298,6 +299,44 @@ type selection = {
   ww_sel : (string * int list) list; (* location -> coherence permutation *)
   fence_sel : ((int * int) * fence_choice) list;
 }
+
+(* -- the candidate loop ----------------------------------------------------- *)
+
+exception Capped
+
+(* Every candidate graph in the reference's order: thread-path combos
+   in product order, and within a combo its rf × coherence × fence
+   product, rightmost varying fastest.  One global counter applies the
+   cap: the loop stops at the first candidate past it. *)
+let iter_candidates ~max_graphs thread_paths visit =
+  let graphs = ref 0 in
+  let capped =
+    try
+      product thread_paths (fun paths ->
+          let combo = prepare paths in
+          let rf_choices = List.map (rf_candidates combo) combo.reads in
+          if not (List.mem [] rf_choices) then begin
+            let judge = visit combo in
+            let written = locs_written combo in
+            let ww_choices = List.map (fun x -> permutations (writes_of combo x)) written in
+            let fences = fence_pairs combo in
+            let keys = List.map fst fences and sides = List.map snd fences in
+            product rf_choices (fun rf ->
+                product ww_choices (fun ww ->
+                    product sides (fun fs ->
+                        if !graphs >= max_graphs then raise_notrace Capped;
+                        incr graphs;
+                        judge
+                          {
+                            rf_sel = List.combine combo.reads rf;
+                            ww_sel = List.combine written ww;
+                            fence_sel = List.combine keys fs;
+                          })))
+          end);
+      false
+    with Capped -> true
+  in
+  (!graphs, capped)
 
 (* -- linearization -------------------------------------------------------- *)
 

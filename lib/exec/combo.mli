@@ -5,12 +5,13 @@
     sides), and the WF-constraint linearizer that turns one selection of
     those choices into a concrete well-formed trace.
 
-    The unreduced enumerator iterates the full selection product and
-    linearizes every candidate; the reduced enumerator
-    ({!Tmx_exec.Reduce}) walks the same product as a prefix tree,
-    pruning subtrees, and only linearizes the survivors — both through
-    the functions here, so a given selection yields bit-identical traces
-    whichever strategy picked it (docs/ENUMERATION.md). *)
+    The unreduced enumerator and the architecture backends iterate the
+    full selection product through {!iter_candidates}; the reduced
+    enumerator ({!Tmx_exec.Reduce}) walks the same product as a prefix
+    tree, pruning subtrees, and only linearizes the survivors — both
+    through the functions here, so a given selection yields
+    bit-identical traces whichever strategy picked it
+    (docs/ENUMERATION.md). *)
 
 open Tmx_core
 
@@ -83,7 +84,7 @@ val rf_candidates : t -> int -> int list
 
 val first_read_width : t -> int option
 (** [Some (List.length (rf_candidates c first_read))] — the top level of
-    the candidate prefix tree, which the parallel driver fans tasks
+    the candidate prefix tree, which the reduced enumerator fans pool tasks
     over; [None] when the combo has no reads. *)
 
 val fence_pairs : t -> ((int * int) * fence_choice list) list
@@ -91,11 +92,14 @@ val fence_pairs : t -> ((int * int) * fence_choice list) list
     quiescence fence and transaction touching its location, with
     same-thread pairs forced to the single side program order allows. *)
 
-val estimated_graphs : t -> int
-(** Saturating upper estimate of the combo's candidate count:
-    Π |rf candidates| × Π |coherence permutations| × Π |fence sides|.
-    Cheap arithmetic over the prepared indices, used to decide whether a
-    run is worth a domain pool at all. *)
+val graph_count : t -> int
+(** The combo's candidate-graph count:
+    Π |rf candidates| × Π |coherence permutations| × Π |fence sides|,
+    the product of the reduced walk's level widths, so exactly the
+    candidates {!Tmx_exec.Reduce.enumerate} claims.  Exact below its
+    saturation bound of 10^9, far above any graph cap.  Cheap arithmetic
+    over the prepared indices: the reduced enumerator takes every
+    representative's global offset from it. *)
 
 val resolution_of : t -> int -> int option
 (** The PCommit/PAbort event resolving transaction [b] (a PBegin), if
@@ -114,6 +118,18 @@ type selection = {
       (** location -> coherence permutation *)
   fence_sel : ((int * int) * fence_choice) list;
 }
+
+val iter_candidates :
+  max_graphs:int -> Proto.path list list -> (t -> selection -> unit) -> int * bool
+(** [iter_candidates ~max_graphs thread_paths visit]: the candidate
+    loop of the unreduced reference and of the architecture backends.
+    It walks the thread-path combos in {!product} order, prepares each
+    one, and, when every read has a reads-from candidate, calls
+    [visit combo] once and applies the result to each of the combo's
+    selections: rf × coherence × fence sides, rightmost varying
+    fastest.  One global counter applies the graph cap, and the loop
+    stops at the first candidate past it.  Returns [(graphs, capped)]:
+    the candidates visited, and whether the cap cut the space. *)
 
 val conflicts : t -> (int * int) array
 (** The combo's conflicting pairs [(i, j)], [i < j]: two accesses of

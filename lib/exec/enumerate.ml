@@ -16,8 +16,8 @@
    is the chapter-length account):
 
    · [No_reduction] — the reference: iterate the full selection product
-     and evaluate every candidate by building its trace, lifting the
-     relations and checking the axioms.
+     on one domain and evaluate every candidate by building its trace,
+     lifting the relations and checking the axioms.
 
    · [Dpor] — walk the product as a prefix tree carrying an incremental
      execution-graph state ([Reduce]); prune a subtree the moment its
@@ -90,76 +90,8 @@ type result = {
          model, when [run ~races:true] or the verdict cache filled it in *)
 }
 
-(* Below this many estimated candidates, a parallel run falls back to
-   the sequential path: domain spawn and merge cost more than the
-   enumeration itself.  Under reduction the estimate is taken over the
-   reduced space — live orbit representatives — so a run whose candidate
-   space collapses under symmetry never pays for a pool.  Verdicts are
-   unaffected either way.  The value is the measured crossover on a
-   2-core host: below it every bucket of programs ran slower at jobs 2
-   than at jobs 1, from it to twice it the two broke even, and beyond
-   that jobs 2 won (docs/ENUMERATION.md §5 has the table). *)
-let parallel_threshold = 512
-
-(* -- the unreduced reference ---------------------------------------------- *)
-
-(* Enumerate the candidate graphs of [combo], optionally pinning the
-   first read's reads-from choice to candidate index [pin] (the parallel
-   task split: pinning choice k and iterating k in order visits the
-   candidates in exactly the sequential order).  [claim] is called once
-   per candidate graph, in enumeration order, and returns [Some ordinal]
-   to process it or [None] to count-and-skip it — graph-cap policy lives
-   in the caller; [emit] receives each consistent execution with its
-   candidate ordinal and, when [races] is set, its races, read off the
-   hb the consistency check just computed. *)
-let enumerate_combo ~model ~locs ~races ?pin ~claim ~emit (combo : Combo.t) =
-  let read_choices = List.map (Combo.rf_candidates combo) combo.reads in
-  let read_choices =
-    match (pin, read_choices) with
-    | None, cs -> cs
-    | Some k, c :: rest -> [ List.nth c k ] :: rest
-    | Some _, [] -> assert false
-  in
-  if List.exists (fun c -> c = []) read_choices then ()
-  else begin
-    let locs_written = Combo.locs_written combo in
-    let ww_choices =
-      List.map (fun x -> Combo.permutations (Combo.writes_of combo x)) locs_written
-    in
-    let fence_pairs = Combo.fence_pairs combo in
-    let fence_keys = List.map fst fence_pairs in
-    let fence_opts = List.map snd fence_pairs in
-    Combo.product read_choices (fun rf_sel ->
-        Combo.product ww_choices (fun ww_sel ->
-            Combo.product fence_opts (fun fence_sel ->
-                match claim () with
-                | None -> ()
-                | Some ordinal -> (
-                    let selection =
-                      {
-                        Combo.rf_sel = List.combine combo.reads rf_sel;
-                        ww_sel = List.combine locs_written ww_sel;
-                        fence_sel = List.combine fence_keys fence_sel;
-                      }
-                    in
-                    match Combo.linearize ~locs combo selection with
-                    | None -> ()
-                    | Some (trace, _) ->
-                        let ctx = Lift.make trace in
-                        let hb = Hb.compute model ctx in
-                        if Consistency.consistent_axioms model ctx hb then
-                          emit ordinal
-                            { trace; outcome = Combo.outcome ~locs combo trace }
-                            (if races then Race.races trace hb else [])))))
-  end
-
-let collect_combos thread_paths =
-  let acc = ref [] in
-  Combo.product thread_paths (fun sel -> acc := sel :: !acc);
-  List.rev_map Combo.prepare !acc
-
 (* The result of a run from its kept executions, each with its races
-   (in execution order, reversed as the merges collect them). *)
+   (in execution order, reversed as the strategies collect them). *)
 let result_of ~races ~truncated ~capped ~graphs ~explored rev_kept =
   let kept = List.rev rev_kept in
   {
@@ -171,112 +103,63 @@ let result_of ~races ~truncated ~capped ~graphs ~explored rev_kept =
     races = (if races then Some (Array.of_list (List.map snd kept)) else None);
   }
 
-(* Sequential reference path: one global candidate counter, cap applied
-   as candidates are claimed. *)
-let run_sequential ~config ~model ~locs ~races ~truncated combos =
-  let kept = ref [] and graphs = ref 0 and capped = ref false in
-  let claim () =
-    if !graphs >= config.max_graphs then begin
-      capped := true;
-      None
-    end
-    else begin
-      incr graphs;
-      Some (!graphs - 1)
-    end
-  in
-  let emit _ordinal e r = kept := (e, r) :: !kept in
-  List.iter (fun combo -> enumerate_combo ~model ~locs ~races ~claim ~emit combo) combos;
-  result_of ~races ~truncated ~capped:!capped ~graphs:!graphs ~explored:!graphs !kept
+(* -- the unreduced reference ---------------------------------------------- *)
 
-(* Parallel path: fan tasks — (combo, first-read choice) pairs in
-   sequential enumeration order — over a domain pool, then merge the
-   per-task results in task order.
+(* Every candidate graph, in the one candidate loop's order and under
+   its global cap ([Combo.iter_candidates]), on the calling domain:
+   linearize, lift, compute hb, check the axioms.  With [races], each
+   execution's races are read off the hb the check just computed. *)
+let run_unreduced ~config ~model ~locs ~races ~truncated thread_paths =
+  let kept = ref [] in
+  let graphs, capped =
+    Combo.iter_candidates ~max_graphs:config.max_graphs thread_paths (fun combo sel ->
+        match Combo.linearize ~locs combo sel with
+        | None -> ()
+        | Some (trace, _) ->
+            let ctx = Lift.make trace in
+            let hb = Hb.compute model ctx in
+            if Consistency.consistent_axioms model ctx hb then
+              kept :=
+                ( { trace; outcome = Combo.outcome ~locs combo trace },
+                  if races then Race.races trace hb else [] )
+                :: !kept)
+  in
+  result_of ~races ~truncated ~capped ~graphs ~explored:graphs !kept
 
-   Determinism argument.  Each task enumerates its own candidate
-   sub-tree in the sequential order and records results against local
-   candidate ordinals; pinning the first read's choice to k and ranging
-   k over the candidates in order partitions the sequential candidate
-   sequence into contiguous runs, so the global ordinal of a task's
-   candidate is the task's prefix sum plus its local ordinal.  The merge
-   walks tasks in index order, reconstructing exactly the sequential
-   execution list, graph count and cap verdict no matter how the
-   domains interleaved.  A task processes a candidate only when its
-   local ordinal is below the cap (a deterministic over-approximation of
-   "global ordinal below the cap": prefix sums are nonnegative); the
-   merge then drops the few over-approximated ones. *)
-let run_parallel ~config ~model ~locs ~races ~truncated combos =
-  let tasks =
-    List.concat_map
-      (fun (combo : Combo.t) ->
-        match Combo.first_read_width combo with
-        | None -> [ (combo, None) ]
-        | Some w -> List.init w (fun k -> (combo, Some k)))
-      combos
-    |> Array.of_list
-  in
-  let results =
-    Pool.run_tasks ~jobs:config.jobs ~tasks:(Array.length tasks) (fun ti ->
-        (* a prepared combo is never written after [Combo.prepare], so
-           the tasks share them *)
-        let combo, pin = tasks.(ti) in
-        let count = ref 0 and execs = ref [] in
-        let claim () =
-          let ordinal = !count in
-          incr count;
-          if ordinal < config.max_graphs then Some ordinal else None
-        in
-        let emit ordinal e r = execs := (ordinal, (e, r)) :: !execs in
-        enumerate_combo ~model ~locs ~races ?pin ~claim ~emit combo;
-        (!count, List.rev !execs))
-  in
-  let total = Array.fold_left (fun acc (c, _) -> acc + c) 0 results in
-  let kept = ref [] and prefix = ref 0 in
-  Array.iter
-    (fun (count, execs) ->
-      List.iter
-        (fun (ordinal, x) -> if !prefix + ordinal < config.max_graphs then kept := x :: !kept)
-        execs;
-      prefix := !prefix + count)
-    results;
-  let graphs = min total config.max_graphs in
-  result_of ~races ~truncated ~capped:(total > config.max_graphs) ~graphs ~explored:graphs
-    !kept
+(* -- the reduced strategies ----------------------------------------------- *)
+
+(* Below this many candidates over the live orbit representatives, a
+   reduced run stays in the calling domain whatever [jobs] says: domain
+   spawn and merge cost more than the enumeration itself, and a run
+   whose candidate space collapses under symmetry never pays for a
+   pool.  Verdicts are unaffected either way.  The value is the
+   measured crossover on a 2-core host: below it every bucket of
+   programs ran slower at jobs 2 than at jobs 1, from it to twice it the
+   two broke even, and beyond that jobs 2 won (docs/ENUMERATION.md §5
+   has the table). *)
+let parallel_threshold = 512
 
 (* More domains than cores only adds task-split and scheduling overhead
    (the pool won't spawn them anyway); results are jobs-independent, so
    clamping is invisible except in wall-clock. *)
 let effective_jobs jobs = min jobs (Pool.available_cores ())
 
-let run_unreduced ~config ~model ~locs ~races ~truncated thread_paths =
-  let combos = collect_combos thread_paths in
-  let small () =
-    (* saturating sum; stop adding once clearly past the threshold *)
-    let rec go acc = function
-      | [] -> acc < parallel_threshold
-      | _ when acc >= parallel_threshold -> false
-      | c :: rest -> go (acc + Combo.estimated_graphs c) rest
-    in
-    go 0 combos
-  in
-  if effective_jobs config.jobs <= 1 || small () then
-    run_sequential ~config ~model ~locs ~races ~truncated combos
-  else run_parallel ~config ~model ~locs ~races ~truncated combos
-
-(* -- the reduced driver --------------------------------------------------- *)
-
-(* One driver covers sequential and parallel reduced runs: the candidate
-   space is cut to tasks — (live orbit representative, first-read pin)
-   in enumeration order — run through the pool (with [jobs = 1] the pool
-   spawns nothing and runs them in order in the calling domain).  A task
-   enumerates its representative and transports the consistent
-   selections it found onto every image combo of the orbit
-   ([Symmetry.map_selection], then [Combo.linearize]), tagging each
-   execution with its combo-local candidate ordinal, so the images are
-   linearized in parallel with the rest of the search.  A single merge
-   pass then walks every combo in enumeration order, offsetting the
-   ordinals and applying the cap.  Results are therefore identical
-   whatever [jobs] was, by construction. *)
+(* One function covers sequential and parallel reduced runs.  A first
+   pass in combo order gives every combo its global offset: it prepares
+   and counts each live orbit representative ([Combo.graph_count]), an
+   image combo having its representative's count.  The representatives
+   whose candidates start below the cap become tasks — (representative,
+   first-read pin) in enumeration order — run through the pool (with
+   [jobs = 1] the pool spawns nothing and runs them in order in the
+   calling domain).  A prepared combo is never written, so the tasks
+   share them.  A task claims global ordinals, its combo's offset plus
+   the walk's own, so the cap stops its walk exactly where it stops the
+   reference's loop.  It transports the consistent selections it found
+   onto every image combo of the orbit that starts below the cap
+   ([Symmetry.map_selection], then [Combo.linearize]), keeping those
+   whose ordinal, shifted to the image's offset, is below the cap.  The
+   merge concatenates each combo's executions in combo order.  Results
+   are therefore identical whatever [jobs] was, by construction. *)
 let run_reduced ~config ~model ~locs ~races ~truncated reduction thread_paths =
   let tp = Array.of_list (List.map Array.of_list thread_paths) in
   let nthreads = Array.length tp in
@@ -302,145 +185,111 @@ let run_reduced ~config ~model ~locs ~races ~truncated reduction thread_paths =
   in
   let rep_of idx = match sym with None -> idx | Some s -> Symmetry.rep s idx in
   let feas = Reduce.Feasible.make tp in
-  let live idx = Reduce.Feasible.check feas (decode idx) in
-  let prepared : (int, Combo.t) Hashtbl.t = Hashtbl.create 64 in
-  let prepare idx =
-    match Hashtbl.find_opt prepared idx with
-    | Some c -> c
-    | None ->
-        let c = Combo.prepare (paths_of idx) in
-        Hashtbl.add prepared idx c;
-        c
-  in
-  let live_reps = ref [] in
-  for idx = total_combos - 1 downto 0 do
-    if rep_of idx = idx && live idx then live_reps := idx :: !live_reps
-  done;
-  let live_reps = !live_reps in
-  (* the parallel fallback decides on the reduced candidate estimate:
-     live orbit representatives only *)
-  let jobs =
-    if effective_jobs config.jobs <= 1 then 1
-    else begin
-      let rec go acc = function
-        | [] -> acc
-        | _ when acc >= parallel_threshold -> acc
-        | r :: rest -> go (acc + Combo.estimated_graphs (prepare r)) rest
-      in
-      if go 0 live_reps < parallel_threshold then 1 else config.jobs
+  let cap = config.max_graphs in
+  let pool_wanted = effective_jobs config.jobs > 1 in
+  (* The offset pass.  A representative precedes its images, so an
+     image's count is known when the pass reaches it.  The pass stops
+     once the offset is past the cap and the pool decision, on the live
+     representatives' candidates, is made. *)
+  let count = Array.make total_combos 0 and offset = Array.make (total_combos + 1) 0 in
+  let reps = ref [] and images = Hashtbl.create 64 and rep_graphs = ref 0 in
+  let seen = ref 0 in
+  while
+    !seen < total_combos
+    && not (offset.(!seen) > cap && ((not pool_wanted) || !rep_graphs >= parallel_threshold))
+  do
+    let idx = !seen in
+    let r = rep_of idx in
+    if r <> idx then begin
+      count.(idx) <- count.(r);
+      if count.(r) > 0 && offset.(idx) < cap then
+        Hashtbl.replace images r (idx :: Option.value (Hashtbl.find_opt images r) ~default:[])
     end
-  in
-  (* each live representative's image combos, in combo order *)
-  let images = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace images r []) live_reps;
-  if Option.is_some sym then
-    for idx = total_combos - 1 downto 0 do
-      let r = rep_of idx in
-      if r <> idx then
-        match Hashtbl.find_opt images r with
-        | Some l -> Hashtbl.replace images r (idx :: l)
-        | None -> ()
-    done;
+    else if Reduce.Feasible.check feas (decode idx) then begin
+      let combo = Combo.prepare (paths_of idx) in
+      count.(idx) <- Combo.graph_count combo;
+      rep_graphs := !rep_graphs + count.(idx);
+      if count.(idx) > 0 && offset.(idx) < cap then reps := (idx, combo) :: !reps
+    end;
+    offset.(idx + 1) <- offset.(idx) + count.(idx);
+    incr seen
+  done;
+  (* past the cap when the pass stopped early, else the exact total *)
+  let total = offset.(!seen) in
+  let jobs = if pool_wanted && !rep_graphs >= parallel_threshold then config.jobs else 1 in
   let tasks =
     List.concat_map
-      (fun r ->
-        let ims = Hashtbl.find images r in
-        if jobs <= 1 then [ (r, None, ims) ]
-        else
-          match Combo.first_read_width (prepare r) with
-          | None -> [ (r, None, ims) ]
-          | Some w -> List.init w (fun k -> (r, Some k, ims)))
-      live_reps
+      (fun (r, combo) ->
+        let ims = List.rev (Option.value (Hashtbl.find_opt images r) ~default:[]) in
+        let task pin = (r, combo, pin, ims) in
+        match Combo.first_read_width combo with
+        | Some w when jobs > 1 -> List.init w (fun k -> task (Some k))
+        | _ -> [ task None ])
+      (List.rev !reps)
     |> Array.of_list
   in
-  (* with jobs = 1 no domain is spawned, so prepared combos are safe to
-     share; parallel workers prepare theirs domain-locally *)
-  let share = jobs <= 1 in
   let base = List.length locs + 2 in
   let results =
     Pool.run_tasks ~jobs ~tasks:(Array.length tasks) (fun ti ->
-        let r, pin, ims = tasks.(ti) in
-        let prepare idx = if share then prepare idx else Combo.prepare (paths_of idx) in
-        let combo = prepare r in
+        let r, combo, pin, ims = tasks.(ti) in
         let plan = Reduce.make_plan ~model ~locs combo in
         let conflicts = if races then Combo.conflicts combo else [||] in
-        let count = ref 0 and found = ref [] in
+        let next = ref offset.(r) and found = ref [] in
         let claim k =
-          let ordinal = !count in
-          count := !count + k;
-          if ordinal < config.max_graphs then ordinal else -1
+          let ordinal = !next in
+          next := ordinal + k;
+          if ordinal < cap then ordinal else -1
         in
         let emit leaf = found := leaf :: !found in
         let explored = Reduce.enumerate ?pin ~conflicts ~claim ~emit plan in
         let found = List.rev !found in
-        (* each kept execution with its combo-local ordinal and races *)
+        (* each kept execution with its races *)
         let keep c conflicts (l : Reduce.leaf) (trace, order) =
-          ( l.ordinal,
-            ( { trace; outcome = Combo.outcome ~locs c trace },
-              if races then Reduce.races ~base conflicts l.hb order else [] ) )
+          ( { trace; outcome = Combo.outcome ~locs c trace },
+            if races then Reduce.races ~base conflicts l.hb order else [] )
         in
         let transport idx =
-          if found = [] then []
-          else begin
-            let to_ = prepare idx in
-            let m = Symmetry.event_map ~from:combo ~to_ (Symmetry.perm (Option.get sym) idx) in
-            (* the representative's conflicting pairs, renamed: π is an
-               isomorphism of the graphs, so hb between the renamed
-               events is the representative's *)
-            let conflicts' = Array.map (fun (i, j) -> (m.(i), m.(j))) conflicts in
-            List.map
-              (fun (l : Reduce.leaf) ->
-                match Combo.linearize ~locs to_ (Symmetry.map_selection ~to_ m l.sel) with
-                | Some lin -> keep to_ conflicts' l lin
-                | None ->
-                    (* the representative's candidate linearized, and
-                       the renaming preserves the constraint graph *)
-                    assert false)
-              found
-          end
+          let shift = offset.(idx) - offset.(r) in
+          match List.filter (fun (l : Reduce.leaf) -> l.ordinal + shift < cap) found with
+          | [] -> []
+          | below ->
+              let to_ = Combo.prepare (paths_of idx) in
+              let m = Symmetry.event_map ~from:combo ~to_ (Symmetry.perm (Option.get sym) idx) in
+              (* the representative's conflicting pairs, renamed: π is an
+                 isomorphism of the graphs, so hb between the renamed
+                 events is the representative's *)
+              let conflicts' = Array.map (fun (i, j) -> (m.(i), m.(j))) conflicts in
+              List.map
+                (fun (l : Reduce.leaf) ->
+                  match Combo.linearize ~locs to_ (Symmetry.map_selection ~to_ m l.sel) with
+                  | Some lin -> keep to_ conflicts' l lin
+                  | None ->
+                      (* the representative's candidate linearized, and
+                         the renaming preserves the constraint graph *)
+                      assert false)
+                below
         in
         let own = List.map (fun (l : Reduce.leaf) -> keep combo conflicts l (l.trace, l.order)) found in
-        (!count, explored, own :: List.map transport ims))
+        (explored, (r, own) :: List.map (fun idx -> (idx, transport idx)) ims))
   in
-  (* fold each representative's tasks back together: a pinned task's
-     ordinals are already the representative's (Reduce.enumerate claims
-     the subtrees before its pin first), so its final count is where its
-     pin's subtree ends, and a cap stops it where it stops the jobs = 1
-     walk.  Every member of the orbit (the representative, then its
-     images) gets the orbit's candidate count and its own executions *)
-  let per_combo = Hashtbl.create 64 in
-  let explored = ref 0 and ti = ref 0 in
-  List.iter
-    (fun r ->
-      let members = r :: Hashtbl.find images r in
-      let count = ref 0 and acc = ref (List.map (fun _ -> []) members) in
-      while !ti < Array.length tasks && (let r', _, _ = tasks.(!ti) in r' = r) do
-        let c, x, lists = results.(!ti) in
-        acc := List.map2 (fun a l -> List.rev_append l a) !acc lists;
-        count := max !count c;
-        explored := !explored + x;
-        incr ti
-      done;
-      List.iter2 (fun idx a -> Hashtbl.add per_combo idx (!count, List.rev a)) members !acc)
-    live_reps;
-  (* global merge in combo enumeration order *)
-  let kept = ref [] and prefix = ref 0 in
-  for idx = 0 to total_combos - 1 do
-    match Hashtbl.find_opt per_combo idx with
-    | None -> () (* infeasible orbit: zero candidates, like the skip above *)
-    | Some (count, execs) ->
-        List.iter
-          (fun (o, x) -> if !prefix + o < config.max_graphs then kept := x :: !kept)
-          execs;
-        prefix := !prefix + count
+  (* each combo's executions, task by task, then in combo order *)
+  let per_combo = Array.make total_combos [] and explored = ref 0 in
+  for ti = Array.length results - 1 downto 0 do
+    let x, lists = results.(ti) in
+    explored := !explored + x;
+    List.iter (fun (idx, l) -> per_combo.(idx) <- l :: per_combo.(idx)) lists
   done;
-  result_of ~races ~truncated ~capped:(!prefix > config.max_graphs)
-    ~graphs:(min !prefix config.max_graphs) ~explored:!explored !kept
+  let kept =
+    Array.fold_left (List.fold_left (fun acc l -> List.rev_append l acc)) [] per_combo
+  in
+  result_of ~races ~truncated ~capped:(total > cap) ~graphs:(min total cap)
+    ~explored:!explored kept
 
 (* The shared front half of [run], also the entry point of the
-   architecture backends (Tmx_arch), which reuse the candidate space —
-   combos × reads-from × coherence × fence sides — but judge the graphs
-   under per-architecture axioms instead of linearizing. *)
+   architecture backends (Tmx_arch), which run the reference's candidate
+   loop ([Combo.iter_candidates]) over combos × reads-from × coherence ×
+   fence sides, but judge the graphs under per-architecture axioms
+   instead of linearizing. *)
 let unfold_combos config (program : Tmx_lang.Ast.program) =
   (match Tmx_lang.Ast.validate program with
   | Ok () -> ()

@@ -45,16 +45,16 @@ type config = {
   domain_iters : int;  (** value-domain fixpoint rounds *)
   max_graphs : int;  (** cap on candidate graphs *)
   jobs : int;
-      (** domains to enumerate on (default 1 = sequential).  With
-          [jobs > 1] the candidate space is split into tasks — one per
-          (thread-path combination, first reads-from choice), the top of
-          the linearization prefix tree — dispatched to a work-stealing
-          domain pool and merged deterministically: the result is
-          identical to the sequential run for every [jobs].  Runs whose
-          estimated candidate count — measured on the reduced space,
-          i.e. live orbit representatives when reduction is on — is too
-          small to amortize a domain pool fall back to the sequential
-          path automatically. *)
+      (** domains to enumerate on (default 1 = sequential).  Under
+          [Dpor] and [Dpor_sym] with [jobs > 1] the candidate space is
+          split into tasks — one per (live orbit representative, first
+          reads-from choice), the top of the prefix tree — dispatched
+          to a work-stealing domain pool and merged deterministically:
+          the result is identical to the sequential run for every
+          [jobs].  A run whose live representatives have fewer than 512
+          candidates between them, too few to amortize a domain pool,
+          stays sequential.  [No_reduction], the reference, always runs
+          on one domain. *)
   reduction : reduction;  (** search strategy (default {!Dpor_sym}) *)
 }
 
@@ -73,13 +73,17 @@ type result = {
   executions : execution list;  (** the consistent executions *)
   truncated : bool;  (** a path hit the loop bound *)
   capped : bool;  (** the graph cap was hit *)
-  graphs : int;  (** candidate graphs accounted for *)
+  graphs : int;  (** candidate graphs accounted for, at most the cap *)
   explored : int;
-      (** candidate graphs whose leaf check actually ran.  Equal to
-          [graphs] without reduction; under reduction, candidates pruned
-          in bulk (doomed prefixes, symmetric images) are counted in
-          [graphs] but not here — the ratio is the reduction's win.  The
-          same whatever [jobs] was, capped runs included. *)
+      (** candidate graphs whose leaf check actually ran, at most
+          [graphs].  Equal to [graphs] without reduction; under
+          reduction, candidates pruned in bulk (doomed prefixes,
+          symmetric images) are counted in [graphs] but not here — the
+          ratio is the reduction's win.  Every strategy numbers the
+          candidates by the same global ordinals, so under a cap no
+          strategy checks a leaf past it, and [explored] shrinks from
+          [No_reduction] to [Dpor] to [Dpor_sym].  The same whatever
+          [jobs] was, capped runs included. *)
   races : (int * int) list array option;
       (** per execution, in [executions] order: its races at L = every
           location under the model that was enumerated, equal to
@@ -96,9 +100,10 @@ val unfold_combos :
 (** The shared front half of {!run}: validate, unfold every thread's
     control paths (dropping paths that hit the loop-unrolling bound) and
     report the location set.  Returns [(locs, thread_paths, truncated)].
-    The architecture backends ({!Tmx_arch}) enter here to reuse the
-    candidate space — path combos × reads-from choices × coherence
-    permutations × fence sides — while swapping the consistency check.
+    The architecture backends ({!Tmx_arch}) enter here and then run the
+    reference's candidate loop ({!Combo.iter_candidates}) — path combos
+    × reads-from choices × coherence permutations × fence sides — while
+    swapping the consistency check.
     @raise Invalid_argument on an ill-formed program. *)
 
 val run :

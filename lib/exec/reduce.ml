@@ -595,15 +595,17 @@ type leaf = {
   hb : int array;
 }
 
+exception Past_cap
+
 (* Enumerate [plan]'s candidates in product order, optionally pinning
    the first level's choice (the parallel task split).  [claim k]
    accounts for [k] candidates and returns the ordinal of the first, or
    -1 past the cap; pruned subtrees are bulk-claimed, so ordinals
-   and totals coincide with the unreduced enumerator.  A pinned walk
-   first bulk-claims the subtrees of the choices before its pin, so its
-   ordinals are those of the unpinned walk.  [emit] receives each
-   consistent execution.  Returns the number of candidates whose leaf
-   check actually ran.
+   coincide with the unreduced enumerator's.  Ordinals only grow, so
+   the walk stops at the first -1.  A pinned walk first bulk-claims the
+   subtrees of the choices before its pin, so its ordinals are those of
+   the unpinned walk.  [emit] receives each consistent execution.
+   Returns the number of candidates whose leaf check actually ran.
 
    The walker passes state ownership down the last sibling, so only
    earlier siblings pay for a copy, and a width-1 level (a single write
@@ -616,7 +618,6 @@ let enumerate ?pin ?(conflicts = [||]) ~claim ~emit plan =
   let explored = ref 0 in
   if Array.exists (fun w -> w = 0) plan.widths then ()
   else begin
-    Option.iter (fun k -> ignore (claim (sat_mul k plan.suffix.(1)))) pin;
     let choices = Array.make nlv 0 in
     let scratch = Array.make nlv None in
     let copy li st =
@@ -629,18 +630,20 @@ let enumerate ?pin ?(conflicts = [||]) ~claim ~emit plan =
           scratch.(li) <- Some dst;
           dst
     in
+    let claim k =
+      let ordinal = claim k in
+      if ordinal < 0 then raise_notrace Past_cap else ordinal
+    in
     let rec go li st =
       if li = nlv then begin
         let ordinal = claim 1 in
-        if ordinal >= 0 then begin
-          incr explored;
-          if leaf_consistent plan st then begin
-            let sel = selection_of plan choices in
-            match Combo.linearize ~locs:plan.locs plan.combo sel with
-            | Some (trace, order) ->
-                emit { ordinal; sel; trace; order; hb = hb_on plan st conflicts }
-            | None -> ()
-          end
+        incr explored;
+        if leaf_consistent plan st then begin
+          let sel = selection_of plan choices in
+          match Combo.linearize ~locs:plan.locs plan.combo sel with
+          | Some (trace, order) ->
+              emit { ordinal; sel; trace; order; hb = hb_on plan st conflicts }
+          | None -> ()
         end
       end
       else begin
@@ -655,6 +658,9 @@ let enumerate ?pin ?(conflicts = [||]) ~claim ~emit plan =
         done
       end
     in
-    go 0 (initial_state plan)
+    try
+      Option.iter (fun k -> ignore (claim (sat_mul k plan.suffix.(1)))) pin;
+      go 0 (initial_state plan)
+    with Past_cap -> ()
   end;
   !explored

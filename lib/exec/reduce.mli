@@ -42,7 +42,7 @@ val make_plan : model:Model.t -> locs:string list -> Combo.t -> plan
 
 (** A consistent candidate, as the walk emits it. *)
 type leaf = {
-  ordinal : int;  (** its candidate ordinal *)
+  ordinal : int;  (** its candidate ordinal, as [claim] returned it *)
   sel : Combo.selection;
   trace : Trace.t;  (** its linearization ({!Combo.linearize}) *)
   order : int array;  (** the combo events in trace order *)
@@ -64,10 +64,12 @@ val enumerate :
     pinning the first level's choice (the parallel task split).
     [claim k] accounts for [k] candidates and returns the ordinal of the
     first if it is to be processed, or -1 past the graph cap; pruned
-    subtrees are bulk-claimed, so ordinals and totals coincide with the
-    unreduced enumerator.  A walk pinned to choice [k] first bulk-claims
-    the subtrees of choices [0 .. k-1], so its ordinals are those of the
-    unpinned walk, and a cap stops it where it stops that walk.  [emit]
+    subtrees are bulk-claimed, so ordinals coincide with the unreduced
+    enumerator's.  Ordinals only grow, so the walk stops at the first
+    -1: no leaf past the cap is checked.  A walk pinned to choice [k]
+    first bulk-claims the subtrees of choices [0 .. k-1], so its
+    ordinals are those of the unpinned walk, and a cap stops it where it
+    stops that walk.  [emit]
     receives each consistent candidate, with the leaf's hb on
     [conflicts] (default none; pass {!Combo.conflicts} of the plan's
     combo to get {!races}).  Returns the number of candidates whose leaf

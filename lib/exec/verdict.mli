@@ -95,4 +95,5 @@ val check_lemma_5_1 :
   ?config:Enumerate.config -> Tmx_lang.Ast.program -> lemma_5_1_report
 (** Every implementation-model execution without mixed races remains
     consistent in the programmer model once quiescence fences are
-    dropped. *)
+    dropped.  An execution's mixed races are those among its races from
+    [Enumerate.run ~races:true]. *)

@@ -280,6 +280,32 @@ let check_jobs_det ctx (p : Ast.program) =
    trace's, the leaf's, a representative's leaf renamed through π): they
    must agree across strategies, execution by execution, and with the
    races derived again from the trace. *)
+(* The capped leg, when the reference has at least 2 graphs: each
+   strategy again, capped at half of them.  Every strategy counts
+   candidates by the same global ordinals, so none checks a leaf past
+   the cap (explored ≤ graphs), explored still shrinks none ≥ dpor ≥
+   dpor+sym, the accounting agrees, and dpor keeps the reference's
+   executions in order. *)
+let check_capped model p cap =
+  let run reduction =
+    Enumerate.run ~config:{ seq_config with reduction; max_graphs = cap } model p
+  in
+  let rn = run Enumerate.No_reduction in
+  let rd = run Enumerate.Dpor in
+  let rs = run Enumerate.Dpor_sym in
+  let explored = Fmt.str "%d none, %d dpor, %d dpor+sym" rn.explored rd.explored rs.explored in
+  if List.exists (fun (r : Enumerate.result) -> r.explored > r.graphs) [ rn; rd; rs ] then
+    Fail (Fmt.str "capped at %d: explored past graphs %d: %s" cap rn.graphs explored)
+  else if rd.explored > rn.explored || rs.explored > rd.explored then
+    Fail (Fmt.str "capped at %d: explored grew under reduction: %s" cap explored)
+  else if
+    rn.graphs <> rd.graphs || rn.graphs <> rs.graphs || rn.capped <> rd.capped
+    || rn.capped <> rs.capped
+  then Fail (Fmt.str "capped at %d: graphs or cap flags differ across reductions" cap)
+  else if List.map exec_key rn.executions <> List.map exec_key rd.executions then
+    Fail (Fmt.str "capped at %d: dpor diverged from the unreduced reference" cap)
+  else Pass
+
 let check_reduction_det _ctx (p : Ast.program) =
   under_models (fun model ->
       let run reduction =
@@ -325,6 +351,7 @@ let check_reduction_det _ctx (p : Ast.program) =
       else if keyed rn <> keyed rd then Fail "dpor's leaf races differ from the reference's"
       else if List.sort compare (keyed rn) <> List.sort compare (keyed rs) then
         Fail "dpor+sym's races differ from the reference's"
+      else if rn.graphs >= 2 then check_capped model p (rn.graphs / 2)
       else Pass)
 
 (* -- repair-sound ------------------------------------------------------------- *)

@@ -19,10 +19,11 @@
                       bit-for-bit (traces, outcomes, order, graphs,
                       explored, caps), under
                       pm and under the strongest variant.  A generated program
-                      almost never clears [Enumerate]'s parallel threshold (a
-                      reduced estimate of 512 candidates), so at [jobs = N] it
-                      takes the sequential fallback and this oracle pins that
-                      decision; the pool itself is held to [jobs = 1] by
+                      almost never clears [Enumerate]'s parallel threshold (512
+                      candidates over the live orbit representatives), so at
+                      [jobs = N] it takes the sequential fallback and this
+                      oracle pins that decision; the pool itself is held to
+                      [jobs = 1] by
                       [test_parallel]'s "jobs split and cap merge
                       deterministically", [reduction_quick]'s "graph cap
                       inside an image combo at every jobs" (both assert a
@@ -35,7 +36,12 @@
                       variant.  With [~races:true], each execution's races
                       (read off each strategy's own hb) agree across the
                       three strategies, execution by execution, and with
-                      the races derived again from the trace               |
+                      the races derived again from the trace.  Capped at
+                      half the reference's graphs (when it has at least
+                      2), every strategy checks no leaf past the cap
+                      (explored ≤ graphs), explored still shrinks, graphs
+                      and caps agree, and [Dpor] keeps the reference's
+                      executions in order                                  |
     | [repair-sound]| synthesized repairs re-verify mixed-race-free, and every
                       edit is load-bearing                                         |
     | [arch-diff]   | x86-TSO and the C++-TM mapping validate the strongest

@@ -68,4 +68,3 @@ let conflicts a b =
 
 let is_read_only f = f.writes = []
 let is_write_only f = f.reads = []
-let is_memory_free f = f.reads = [] && f.writes = []

@@ -31,4 +31,3 @@ val conflicts : t -> t -> bool
 
 val is_read_only : t -> bool
 val is_write_only : t -> bool
-val is_memory_free : t -> bool

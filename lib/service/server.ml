@@ -71,8 +71,6 @@ let addresses l =
   | Some (_, h, p) -> [ Printf.sprintf "tcp:%s:%d" h p ]
   | None -> []
 
-let tcp_port l = Option.map (fun (_, _, p) -> p) l.l_tcp
-
 let resolve_host host =
   match Unix.inet_addr_of_string host with
   | a -> a

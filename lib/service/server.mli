@@ -72,9 +72,6 @@ val addresses : listener -> string list
     ["unix:PATH"], ["tcp:HOST:PORT"] (with the actual kernel-chosen
     port when the config asked for port 0). *)
 
-val tcp_port : listener -> int option
-(** The bound TCP port, when a TCP transport is configured. *)
-
 val close_listener : listener -> unit
 (** Close the listening fds and unlink the Unix socket path, unless
     another listener has bound a new socket there since. *)

@@ -47,6 +47,7 @@ let run_suites () =
       ("parse", Test_parse.suite);
       ("export", Test_export.suite);
       ("theorems", Test_theorems.suite);
+      ("theorems_quick", Test_theorems.quick_suite);
       ("opt", Test_opt.suite);
       ("fenceify", Test_fenceify.suite);
       ("stmsim", Test_stmsim.suite);

@@ -168,6 +168,38 @@ let test_random_section6 () =
     ignore (check_section6 (Printf.sprintf "random-%d" i) p)
   done
 
+(* -- golden digests ------------------------------------------------------------ *)
+
+(* MD5s of [Aexec.run] — outcomes, graphs, truncated, capped — over the
+   catalog under each architecture, under armv8 with every plain load
+   site fenced, and under armv8 capped at 8 graphs.  They pin the
+   candidate loop the backends share with the unreduced reference. *)
+let arch_digest ?config ?(fences = fun _ -> []) arch =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (l : Tmx_litmus.Litmus.t) ->
+      let r = Aexec.run ?config ~fences:(fences l.program) arch l.program in
+      Buffer.add_string b
+        (Fmt.str "%s %a|%d|%b|%b\n" l.name
+           Fmt.(list ~sep:semi Outcome.pp)
+           r.outcomes r.graphs r.truncated r.capped))
+    Tmx_litmus.Catalog.all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden () =
+  let capped = { Enumerate.default_config with max_graphs = 8 } in
+  List.iter
+    (fun (name, expected, digest) -> Alcotest.(check string) name expected (digest ()))
+    [
+      ("x86tso", "8d169fd15a25424890287e9db01d6d75", fun () -> arch_digest Arch.X86tso);
+      ("armv8", "c0dc9ff64bdd30fb1a3dff906f1bad67", fun () -> arch_digest Arch.Armv8);
+      ("rc11", "a7bec97a49df12e2f64c00d2040812dc", fun () -> arch_digest Arch.Rc11);
+      ( "armv8, every plain load fenced",
+        "256ad9989fce302718d22dc7a3914d5d",
+        fun () -> arch_digest ~fences:(fun p -> Aexec.plain_load_sites p) Arch.Armv8 );
+      ("armv8 capped at 8", "109b54d7abc47658c6114bb16d7b6f9a", fun () -> arch_digest ~config:capped Arch.Armv8);
+    ]
+
 let suite =
   [
     Alcotest.test_case "lb: armv8 allows" `Quick test_lb_armv8_allows;
@@ -182,6 +214,7 @@ let suite =
     Alcotest.test_case "containments on key shapes" `Quick
       test_containments_lb_iriw;
     Alcotest.test_case "plain load sites" `Quick test_plain_load_sites;
+    Alcotest.test_case "golden digests: catalog x every architecture" `Quick test_golden;
   ]
 
 let catalog_suite =

@@ -87,22 +87,22 @@ let test_stress_jobs () =
   check_same_result "stress capped" capped
     (in_pool "stress capped jobs=4" (fun () -> run ~max_graphs:100 4))
 
-(* Six interchangeable writers and a reader, capped below its 5040
-   candidates: the reduced walk reaches the pool at jobs = 2 with one
-   task per first-read choice, and a task must stop where the cap stops
-   the jobs = 1 walk, or [explored] (which a cached entry keeps) depends
-   on who computed it. *)
-let test_capped_explored () =
+(* Six interchangeable writers and a reader: 5040 candidates. *)
+let w6r1 =
   let open Tmx_lang.Ast in
   let x = loc "x" in
-  let p =
-    program ~name:"w6r1" ~locs:[ "x" ]
-      (List.init 6 (fun _ -> [ store x (int 1) ]) @ [ [ load "r" x ] ])
-  in
+  program ~name:"w6r1" ~locs:[ "x" ]
+    (List.init 6 (fun _ -> [ store x (int 1) ]) @ [ [ load "r" x ] ])
+
+(* w6r1 capped below its candidates: the reduced walk reaches the pool
+   at jobs = 2 with one task per first-read choice, and a task must stop
+   where the cap stops the jobs = 1 walk, or [explored] (which a cached
+   entry keeps) depends on who computed it. *)
+let test_capped_explored () =
   let run jobs =
     Enumerate.run
       ~config:{ Enumerate.default_config with jobs; max_graphs = 1000 }
-      Model.programmer p
+      Model.programmer w6r1
   in
   let seq = run 1 in
   Alcotest.(check bool) "cap exercised" true seq.capped;

@@ -23,6 +23,8 @@ let run ?(jobs = 1) ?(max_graphs = Enumerate.default_config.max_graphs)
     ~config:{ Enumerate.default_config with jobs; max_graphs; reduction }
     model p
 
+let strategies = [ Enumerate.No_reduction; Enumerate.Dpor; Enumerate.Dpor_sym ]
+
 (* order-sensitive equality: executions, traces, accounting *)
 let check_identical name (a : Enumerate.result) (b : Enumerate.result) =
   Alcotest.(check int) (name ^ ": graphs") a.graphs b.graphs;
@@ -144,7 +146,7 @@ let test_capped_images () =
   (* candidates per combo, in combo order *)
   let counts = ref [] in
   Combo.product thread_paths (fun paths ->
-      counts := Combo.estimated_graphs (Combo.prepare paths) :: !counts);
+      counts := Combo.graph_count (Combo.prepare paths) :: !counts);
   let counts = Array.of_list (List.rev !counts) in
   (* the image combo with the most candidates, cut in its middle *)
   let best = ref (-1) in
@@ -225,15 +227,19 @@ let w3o3 =
       [ load "r1" x; load "r2" x ];
     ]
 
+(* The capped w3o3 digests of dpor and dpor+sym changed in explored
+   only (24576 → 5000 and 4896 → 2244) when the reduced tasks came to
+   claim global ordinals and stopped checking leaves past the cap: the
+   same digest without explored is equal before and after. *)
 let golden =
   [
     ( Enumerate.No_reduction,
       "84efc3360a0e5803b11b659c56cc3f9d",
       "0d675f67f64c34f94fdb06c3e2535227" );
-    (Enumerate.Dpor, "56949030c61abf17fdae4d63afdbeafb", "3f3ee35a9677f47a95a74d8660df3fbf");
+    (Enumerate.Dpor, "56949030c61abf17fdae4d63afdbeafb", "0d675f67f64c34f94fdb06c3e2535227");
     ( Enumerate.Dpor_sym,
       "e05cfbd880cd2968199544289151eeb5",
-      "1b2c684a10cd747ad00db473d4c704ae" );
+      "9a249cdcc28a03d512f5480f8cca9363" );
   ]
 
 let test_golden () =
@@ -253,6 +259,44 @@ let test_golden () =
       Alcotest.(check string) (name ^ ": w3o3 capped at 5000") frontier
         (digest_of [ run ~max_graphs:5000 reduction Model.programmer w3o3 ]))
     golden
+
+(* The cap rule.  Every strategy counts candidates by the same global
+   ordinals, so a capped run checks no leaf past the cap: explored ≤
+   graphs, explored shrinks none ≥ dpor ≥ dpor+sym, graphs and capped
+   agree across the strategies, and dpor keeps the reference's
+   executions in order.  Every value is the same at jobs 1 and at jobs
+   2, where the reduced runs reach the pool. *)
+let test_cap_rule () =
+  List.iter
+    (fun ((p : Tmx_lang.Ast.program), cap) ->
+      let name = Fmt.str "%s capped at %d" p.name cap in
+      let at jobs =
+        let rs = List.map (fun r -> run ~jobs ~max_graphs:cap r Model.programmer p) strategies in
+        let rn, rd, rs = match rs with [ a; b; c ] -> (a, b, c) | _ -> assert false in
+        let name = Fmt.str "%s jobs %d" name jobs in
+        Alcotest.(check bool) (name ^ ": capped") true rn.capped;
+        List.iter
+          (fun (r : Enumerate.result) ->
+            if r.explored > r.graphs then
+              Alcotest.failf "%s: explored %d > graphs %d" name r.explored r.graphs)
+          [ rn; rd; rs ];
+        if rd.explored > rn.explored || rs.explored > rd.explored then
+          Alcotest.failf "%s: explored grew under reduction (%d/%d/%d)" name rn.explored
+            rd.explored rs.explored;
+        check_identical (name ^ " dpor=none") rn rd;
+        Alcotest.(check int) (name ^ ": graphs sym") rn.graphs rs.graphs;
+        Alcotest.(check bool) (name ^ ": capped sym") rn.capped rs.capped;
+        [ rn; rd; rs ]
+      in
+      let r1 = at 1 in
+      let r2 = at 2 in
+      List.iter2
+        (fun reduction (a, b) ->
+          Test_parallel.check_same_result
+            (Fmt.str "%s %s jobs 1 = jobs 2" name (Enumerate.reduction_name reduction))
+            a b)
+        strategies (List.combine r1 r2))
+    [ (w3o3, 500); (w3o3, 5000); (Test_parallel.w6r1, 1000) ]
 
 (* Races at the leaf.  [Enumerate.run ~races:true] reads each
    execution's races off the hb its strategy already holds (the trace's
@@ -281,8 +325,6 @@ let races_match model (r : Enumerate.result) =
 
 let check_races name model r =
   match races_match model r with Ok () -> () | Error m -> Alcotest.failf "%s: %s" name m
-
-let strategies = [ Enumerate.No_reduction; Enumerate.Dpor; Enumerate.Dpor_sym ]
 
 (* At jobs 1 only: no catalog program reaches the pool's threshold, so
    jobs 2 would run the same sequential path; the pool is
@@ -326,16 +368,18 @@ let test_leaf_races_images () =
         (run_races Enumerate.Dpor_sym model mp2))
     Model.all
 
-(* w3o3 is big enough for the pool at jobs 2: the unreduced tasks read
-   their trace's hb, dpor's pinned tasks their own leaves, and under
-   dpor+sym the images are transported inside the workers. *)
+(* w3o3 is big enough for the pool at jobs 2: dpor's pinned tasks read
+   their own leaves, and under dpor+sym the images are transported
+   inside the workers.  The reference runs on one domain whatever
+   [jobs] says, and reads its trace's hb. *)
 let test_leaf_races_pool () =
   List.iter
     (fun reduction ->
       let name = "w3o3 " ^ Enumerate.reduction_name reduction in
+      let run () = run_races ~jobs:2 ~max_graphs:5000 reduction Model.programmer w3o3 in
       check_races name Model.programmer
-        (Test_parallel.in_pool name (fun () ->
-             run_races ~jobs:2 ~max_graphs:5000 reduction Model.programmer w3o3)))
+        (if reduction = Enumerate.No_reduction then run ()
+         else Test_parallel.in_pool name run))
     strategies
 
 (* A thread-symmetric program must collapse orbits: interchangeable
@@ -426,6 +470,8 @@ let quick_suite =
     Alcotest.test_case "graph cap inside an image combo at every jobs" `Quick
       test_capped_images;
     Alcotest.test_case "golden trace digests: catalog, w3o3 capped" `Quick test_golden;
+    Alcotest.test_case "capped runs check no leaf past the cap, at jobs 1 and 2" `Quick
+      test_cap_rule;
     Alcotest.test_case "leaf races = trace races: catalog x every model x strategy" `Quick
       test_leaf_races_catalog;
     Alcotest.test_case "leaf races = trace races: images that race elsewhere" `Quick

@@ -1037,6 +1037,13 @@ let writer_shards = 2
    domains, each through a cache of its own. *)
 let cache_writer ~dir proc =
   let works = List.init 2 (fun d -> writer_work ((2 * proc) + d)) in
+  (* Kept alive until the domains are joined.  OCaml 5.1.1 can livelock
+     when a domain terminates while another allocates and the major heap
+     is small: the exiting domain spins in [caml_finish_major_cycle]'s
+     stop-the-world request and the other in [update_major_slice_work].
+     Without this the writer hung in about 1 run in 120 on 2 vCPUs;
+     with it, in none of 850. *)
+  let ballast = Sys.opaque_identity (Array.init 300_000 (fun i -> Some i)) in
   ignore (Unix.read Unix.stdin (Bytes.create 1) 0 1);
   let write work () =
     let c = Cache.create ~shards:writer_shards ~dir () in
@@ -1044,6 +1051,7 @@ let cache_writer ~dir proc =
     Cache.close c
   in
   List.iter Domain.join (List.map (fun w -> Domain.spawn (write w)) works);
+  ignore (Sys.opaque_identity ballast);
   exit 0
 
 (* Two processes of two domains each append 50 records apiece to one

@@ -75,6 +75,64 @@ let test_lemma_5_1_catalog () =
       Alcotest.(check bool) (Fmt.str "Lemma 5.1 on %s" p.name) true r.holds)
     catalog_programs
 
+(* Each catalog program's Lemma 5.1 counts (executions checked, mixed-race
+   free, pm-consistent once defenced), pinned.  The mixed races are read
+   off the enumerator's own hb ([Enumerate.run ~races:true]); these are
+   the counts that [Race.has_mixed_race] over a second [Hb.compute] gave. *)
+let lemma_5_1_counts =
+  [
+      ("privatization", 3, 1, 1);
+      ("privatization_chain", 9, 1, 1);
+      ("publication", 2, 2, 2);
+      ("iriw_z", 30, 30, 30);
+      ("temporal", 12, 12, 12);
+      ("ex2_2", 3, 1, 1);
+      ("lb", 3, 3, 3);
+      ("sb", 4, 4, 4);
+      ("aborted_pub", 4, 4, 4);
+      ("opacity_iriw", 14, 14, 14);
+      ("opacity_iriw_plain", 16, 16, 16);
+      ("coh_java", 7, 7, 7);
+      ("coh_cse", 27, 27, 27);
+      ("ex2_3_ww", 4, 0, 0);
+      ("ex2_3_rw", 3, 3, 3);
+      ("ex2_3_wr", 4, 4, 4);
+      ("ex2_3_ww_prime", 4, 0, 0);
+      ("ex2_3_rw_prime", 3, 3, 3);
+      ("ex2_3_wr_prime", 4, 4, 4);
+      ("ex3_1", 4, 4, 4);
+      ("ex3_2", 4, 4, 4);
+      ("ex3_3", 3, 3, 3);
+      ("ex3_4", 16, 6, 6);
+      ("ex3_5", 9, 1, 1);
+      ("ldrf_example", 8, 8, 8);
+      ("doomed", 2, 2, 2);
+      ("impl_reorder", 6, 2, 2);
+      ("impl_reorder_swapped", 6, 2, 2);
+      ("privatization_fence", 2, 2, 2);
+      ("d1_opaque_writes", 1, 1, 1);
+      ("d2_race_free_speculation", 2, 2, 2);
+      ("d3_dirty_reads", 2, 2, 2);
+      ("d4_no_overlapped_writes", 2, 2, 2);
+  ]
+
+let test_lemma_5_1_counts () =
+  List.iter
+    (fun (name, checked, free, consistent) ->
+      let p =
+        match Tmx_litmus.Catalog.find name with
+        | Some l -> l.program
+        | None -> Alcotest.failf "no catalog entry %s" name
+      in
+      let r = Verdict.check_lemma_5_1 p in
+      Alcotest.(check (triple int int int))
+        (Fmt.str "Lemma 5.1 counts on %s" name)
+        (checked, free, consistent)
+        (r.executions_checked, r.mixed_race_free, r.pm_consistent))
+    lemma_5_1_counts;
+  Alcotest.(check int) "every catalog program" (List.length Tmx_litmus.Catalog.all)
+    (List.length lemma_5_1_counts)
+
 let prop_lemma_5_1_random =
   QCheck.Test.make ~name:"Lemma 5.1 on random programs" ~count:60 arb_program
     (fun p -> (Verdict.check_lemma_5_1 p).holds)
@@ -230,3 +288,7 @@ let suite =
     Tb.qcheck prop_prefix_closure_random;
     Alcotest.test_case "permutation invariance" `Quick test_permutation_invariance;
   ]
+
+(* Quick: under a tenth of a second. *)
+let quick_suite =
+  [ Alcotest.test_case "Lemma 5.1 counts on the catalog" `Quick test_lemma_5_1_counts ]
