@@ -51,7 +51,15 @@ let compute ~config model program =
 
 (* -- serialization ---------------------------------------------------------- *)
 
-let format_version = "tmx-cache-2"
+(* An entry's executions draw on three tables: the locations, once;
+   each distinct event, once, as [thread, tag, ...]; and each distinct
+   outcome, once.  An execution is [event indices, outcome index, race
+   positions, mixed], its race pairs flattened.  The tables are in
+   first-use order, so equal verdicts give byte-identical bodies, and
+   decoding builds each table entry once: the reloaded traces share their
+   events and the executions their outcomes, as a fresh enumeration's
+   do. *)
+let format_version = "tmx-cache-3"
 
 let json_of_rat r = Json.str (Rat.to_string r)
 
@@ -91,27 +99,15 @@ let event_of_json j : Action.event =
   | Some (t :: Json.Str tag :: rest) -> (
       let thread = get (Json.to_int t) in
       match (tag, rest) with
-      | "W", [ loc; value; ts ] ->
+      | ("W" | "R"), [ loc; value; ts ] ->
+          let loc = get (Json.to_str loc)
+          and value = get (Json.to_int value)
+          and ts = get (rat_of_json ts) in
           {
             thread;
             act =
-              Action.Write
-                {
-                  loc = get (Json.to_str loc);
-                  value = get (Json.to_int value);
-                  ts = get (rat_of_json ts);
-                };
-          }
-      | "R", [ loc; value; ts ] ->
-          {
-            thread;
-            act =
-              Action.Read
-                {
-                  loc = get (Json.to_str loc);
-                  value = get (Json.to_int value);
-                  ts = get (rat_of_json ts);
-                };
+              (if tag = "W" then Action.Write { loc; value; ts }
+               else Action.Read { loc; value; ts });
           }
       | "B", [] -> { thread; act = Action.Begin }
       | "C", [] -> { thread; act = Action.Commit }
@@ -146,47 +142,43 @@ let outcome_of_json j : Outcome.t =
     mem = bindings_of_json (get (Json.mem "mem" j));
   }
 
-let json_of_execution (e : Enumerate.execution) races mixed =
-  Json.Obj
-    [
-      ( "locs",
-        Json.Arr (List.map (fun l -> Json.str l) (Trace.locs e.trace)) );
-      ( "events",
-        Json.Arr
-          (Array.to_list (Array.map json_of_event (Trace.events e.trace))) );
-      ("outcome", json_of_outcome e.outcome);
-      ( "races",
-        Json.Arr
-          (List.map (fun (a, b) -> Json.Arr [ Json.int a; Json.int b ]) races)
-      );
-      ("mixed", Json.bool mixed);
-    ]
+(* A table of distinct values, numbered in first-use order: [number]
+   gives a value its index, appending it on its first use. *)
+type 'a table = { ids : ('a, int) Hashtbl.t; mutable rows : 'a list }
 
-let execution_of_json j =
-  let locs =
-    List.map
-      (fun l -> get (Json.to_str l))
-      (get (Json.to_list (get (Json.mem "locs" j))))
-  in
-  let events =
-    List.map event_of_json (get (Json.to_list (get (Json.mem "events" j))))
-  in
-  (* [Trace.events] includes the WF1 initializing transaction, so the
-     raw [of_events] rebuilds the trace exactly *)
-  let trace = Trace.of_events ~locs events in
-  let outcome = outcome_of_json (get (Json.mem "outcome" j)) in
-  let races =
-    List.map
-      (fun pair ->
-        match Json.to_list pair with
-        | Some [ a; b ] -> (get (Json.to_int a), get (Json.to_int b))
-        | _ -> raise Malformed)
-      (get (Json.to_list (get (Json.mem "races" j))))
-  in
-  let mixed = get (Json.to_bool (get (Json.mem "mixed" j))) in
-  ((({ trace; outcome } : Enumerate.execution), races), mixed)
+let table () = { ids = Hashtbl.create 64; rows = [] }
+
+let number tbl x =
+  match Hashtbl.find_opt tbl.ids x with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length tbl.ids in
+      Hashtbl.add tbl.ids x i;
+      tbl.rows <- x :: tbl.rows;
+      i
+
+let json_of_table f tbl = Json.Arr (List.rev_map f tbl.rows)
 
 let json_of_verdict ~version ~model_name ~config_key v =
+  let locs =
+    match v.result.executions with [] -> [] | e :: _ -> Trace.locs e.trace
+  in
+  let events = table () and outcomes = table () in
+  let execution i (e : Enumerate.execution) =
+    if not (Trace.locs e.trace == locs || List.equal String.equal (Trace.locs e.trace) locs)
+    then invalid_arg "Cache.store: executions over different locations";
+    Json.Arr
+      [
+        Json.Arr
+          (Array.to_list
+             (Array.map (fun ev -> Json.int (number events ev)) (Trace.events e.trace)));
+        Json.int (number outcomes e.outcome);
+        Json.Arr
+          (List.concat_map (fun (a, b) -> [ Json.int a; Json.int b ]) v.races.(i));
+        Json.bool v.mixed.(i);
+      ]
+  in
+  let executions = List.mapi execution v.result.executions in
   Json.Obj
     [
       ("format", Json.str version);
@@ -203,31 +195,61 @@ let json_of_verdict ~version ~model_name ~config_key v =
             ("findings", Json.int v.lint_findings);
             ("mixed", Json.int v.lint_mixed);
           ] );
-      ( "executions",
-        Json.Arr
-          (List.mapi
-             (fun i e -> json_of_execution e v.races.(i) v.mixed.(i))
-             v.result.executions) );
+      ("locs", Json.Arr (List.map Json.str locs));
+      ("events", json_of_table json_of_event events);
+      ("outcomes", json_of_table json_of_outcome outcomes);
+      ("executions", Json.Arr executions);
     ]
 
+let array_of_json f j = Array.of_list (List.map f (get (Json.to_list j)))
+
+(* [tbl.(i)] for the int [j] = [i]; any other [j] is malformed *)
+let entry tbl j =
+  match Json.to_int j with
+  | Some i when i >= 0 && i < Array.length tbl -> tbl.(i)
+  | _ -> raise Malformed
+
 let verdict_of_json j =
-  let parsed =
-    List.map execution_of_json (get (Json.to_list (get (Json.mem "executions" j))))
+  let field k = get (Json.mem k j) in
+  let locs = List.map (fun l -> get (Json.to_str l)) (get (Json.to_list (field "locs"))) in
+  let events = array_of_json event_of_json (field "events") in
+  let outcomes = array_of_json outcome_of_json (field "outcomes") in
+  let execution j =
+    match Json.to_list j with
+    | Some [ evs; outcome; races; mixed ] ->
+        (* the events include the WF1 initializing transaction, so the
+           raw [of_array] rebuilds the trace exactly *)
+        let trace = Trace.of_array ~locs (array_of_json (entry events) evs) in
+        let position j =
+          let p = get (Json.to_int j) in
+          if p < 0 || p >= Trace.length trace then raise Malformed;
+          p
+        in
+        let rec pairs = function
+          | [] -> []
+          | a :: b :: rest -> (position a, position b) :: pairs rest
+          | [ _ ] -> raise Malformed
+        in
+        ( ({ trace; outcome = entry outcomes outcome } : Enumerate.execution),
+          pairs (get (Json.to_list races)),
+          get (Json.to_bool mixed) )
+    | _ -> raise Malformed
   in
-  let races = Array.of_list (List.map (fun ((_, r), _) -> r) parsed) in
-  let lint = get (Json.mem "lint" j) in
+  let parsed = List.map execution (get (Json.to_list (field "executions"))) in
+  let races = Array.of_list (List.map (fun (_, r, _) -> r) parsed) in
+  let lint = field "lint" in
   {
     result =
       {
-        executions = List.map (fun ((e, _), _) -> e) parsed;
-        truncated = get (Json.to_bool (get (Json.mem "truncated" j)));
-        capped = get (Json.to_bool (get (Json.mem "capped" j)));
-        graphs = get (Json.to_int (get (Json.mem "graphs" j)));
-        explored = get (Json.to_int (get (Json.mem "explored" j)));
+        executions = List.map (fun (e, _, _) -> e) parsed;
+        truncated = get (Json.to_bool (field "truncated"));
+        capped = get (Json.to_bool (field "capped"));
+        graphs = get (Json.to_int (field "graphs"));
+        explored = get (Json.to_int (field "explored"));
         races = Some races;
       };
     races;
-    mixed = Array.of_list (List.map (fun (_, m) -> m) parsed);
+    mixed = Array.of_list (List.map (fun (_, _, m) -> m) parsed);
     lint_race_free = get (Json.to_bool (get (Json.mem "race_free" lint)));
     lint_findings = get (Json.to_int (get (Json.mem "findings" lint)));
     lint_mixed = get (Json.to_int (get (Json.mem "mixed" lint)));

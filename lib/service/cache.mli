@@ -18,6 +18,21 @@
     checksum.  A store appends one record to the open log; no file is
     created per entry.  A key's newest record wins.
 
+    Beside the counts and the lint counters, a body holds three tables
+    and the executions that index them: ["locs"], the location list,
+    once; ["events"], each distinct event once, as [[thread, tag, ...]];
+    ["outcomes"], each distinct outcome once; and ["executions"], one
+    [[event indices, outcome index, race positions, mixed]] per
+    execution, the indices and positions as JSON int arrays, each race
+    pair as two consecutive positions.  The tables are in first-use
+    order, so equal verdicts give byte-identical bodies.  Decoding
+    builds each table entry once: a reloaded verdict's traces share
+    their event records, and its executions their outcomes, as a fresh
+    enumeration's do.  An index out of range or not an int, a race
+    position outside its trace, an odd-length race list, an execution
+    of the wrong arity or a missing table makes the record a load
+    failure.
+
     {b Reads.}  An in-memory LRU front first, then an index from each
     key to its newest record's offset, length and checksum.  An index
     miss first indexes the complete lines the log gained since the last
@@ -29,13 +44,16 @@
 
     {b Cost.}  The index starts empty in every process, so a process's
     first lookup in a shard reads the shard's whole log, and the index
-    then holds every key of it.  On 2 vCPUs a fresh [tmx litmus sb
-    --cache] took 55 ms against 10^4 records (44 MB of log) and
-    0.56 s and 11 MB more memory against 10^5 (446 MB), where the
-    one-file-per-entry layout took 5 ms.  The log pays for itself in a
-    long-lived process ([tmx serve]) or one whose lookups are many next
-    to its log's records; a short-lived [tmx litmus --cache] beside a
-    large [tmx fuzz --cache] log pays the scan on every run.
+    then holds every key of it.  On 2 vCPUs, with the records a [tmx
+    fuzz --cache] campaign leaves (1.6 KB each), a fresh [tmx litmus sb
+    --cache] took 22 ms against 10^4 records (15 MB of log) and 0.18 s
+    against 10^5 (156 MB), peaking at 24 MB of memory, about 11 MB more
+    than beside a small log; a daemon's first request took 0.22 s
+    there.  The one-file-per-entry layout took 5 ms.  The log pays for
+    itself in a long-lived process ([tmx serve]) or one whose lookups
+    are many next to its log's records; a short-lived [tmx litmus
+    --cache] beside a large [tmx fuzz --cache] log pays the scan on
+    every run.
 
     {b Across processes.}  Each process opens a shard's log lazily, with
     [O_APPEND], and appends a record while holding an advisory [lockf]
@@ -138,7 +156,9 @@ val find :
 val store :
   t -> config:Enumerate.config -> Model.t -> Ast.program -> verdict -> unit
 (** Appends the verdict's record to its shard's log.
-    @raise Unix.Unix_error when the log cannot be opened or written. *)
+    @raise Unix.Unix_error when the log cannot be opened or written.
+    @raise Invalid_argument when the verdict's executions are over
+    different location lists (an enumeration's never are). *)
 
 val memo :
   t ->

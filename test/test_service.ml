@@ -200,9 +200,23 @@ let check_verdict_equal what (a : Cache.verdict) (b : Cache.verdict) =
       (List.length oa = List.length ob && List.for_all2 Outcome.equal oa ob)
   then Alcotest.failf "%s: outcome sets differ" what;
   Alcotest.(check int) (what ^ ": graphs") a.result.graphs b.result.graphs;
+  Alcotest.(check int) (what ^ ": explored") a.result.explored b.result.explored;
   Alcotest.(check bool) (what ^ ": capped") a.result.capped b.result.capped;
   Alcotest.(check bool)
     (what ^ ": truncated") a.result.truncated b.result.truncated;
+  Alcotest.(check int)
+    (what ^ ": executions")
+    (List.length a.result.executions)
+    (List.length b.result.executions);
+  List.iteri
+    (fun i ((x : Enumerate.execution), (y : Enumerate.execution)) ->
+      if Trace.locs x.trace <> Trace.locs y.trace then
+        Alcotest.failf "%s: execution %d: locations differ" what i;
+      if Trace.events x.trace <> Trace.events y.trace then
+        Alcotest.failf "%s: execution %d: events differ" what i;
+      if not (Outcome.equal x.outcome y.outcome) then
+        Alcotest.failf "%s: execution %d: outcomes differ" what i)
+    (List.combine a.result.executions b.result.executions);
   if a.races <> b.races then Alcotest.failf "%s: race sets differ" what;
   if a.mixed <> b.mixed then Alcotest.failf "%s: mixed flags differ" what;
   Alcotest.(check bool)
@@ -230,6 +244,17 @@ let test_cache_roundtrip () =
   (match Cache.find c' ~config Model.implementation p with
   | Some _ -> Alcotest.fail "model must be part of the key"
   | None -> ());
+  (* an entry keeps one location list for all its executions *)
+  let moved =
+    List.mapi
+      (fun i (e : Enumerate.execution) ->
+        if i = 0 then e
+        else { e with trace = Trace.of_array ~locs:[ "elsewhere" ] (Trace.events e.trace) })
+      v.result.executions
+  in
+  (match Cache.store c ~config Model.strongest p { v with result = { v.result with executions = moved } } with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a verdict over two location lists was stored");
   ignore (Cache.clear ~dir)
 
 let test_cache_version_mismatch () =
@@ -310,6 +335,15 @@ let test_cache_corruption () =
     check_verdict_equal "recovered verdict" v v';
     Cache.close c'
   in
+  (* the stored body, to forge well-formed JSON that breaks the schema *)
+  let body =
+    let text = read_file log in
+    let i, e = List.hd (record_lines text) in
+    let header = 32 + 1 + 32 + 1 (* key TAB md5 TAB *) in
+    match Json.of_string (String.sub text (i + header) (e - i - header)) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "the stored body does not parse: %s" e
+  in
   damage_records log;
   recovers "a record failing its MD5";
   List.iter
@@ -317,6 +351,106 @@ let test_cache_corruption () =
       append_to log (forged_record ~key garbage);
       recovers (Fmt.str "record body %S" garbage))
     [ "{ not json"; "[]"; "{\"format\":\"tmx-cache-1\"}"; "" ];
+  let field k f = function
+    | Json.Obj fs -> Json.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) fs)
+    | j -> j
+  in
+  let nth n f = function
+    | Json.Arr xs -> Json.Arr (List.mapi (fun i x -> if i = n then f x else x) xs)
+    | j -> j
+  in
+  (* slot [n] of the first execution: its event indices, its outcome
+     index, its race positions, its mixed flag *)
+  let slot n f = field "executions" (nth 0 (nth n f)) in
+  let length k = List.length (Option.get (Json.to_list (Option.get (Json.mem k body)))) in
+  List.iter
+    (fun (what, edit) ->
+      append_to log (forged_record ~key (Json.to_string (edit body)));
+      recovers what)
+    [
+      ("an event index past the table", slot 0 (nth 0 (fun _ -> Json.int (length "events"))));
+      ("a negative event index", slot 0 (nth 0 (fun _ -> Json.int (-1))));
+      ("a non-integer event index", slot 0 (nth 0 (fun _ -> Json.Num 0.5)));
+      ("an outcome index past the table", slot 1 (fun _ -> Json.int (length "outcomes")));
+      ( "an odd-length race list",
+        slot 2 (function Json.Arr rs -> Json.Arr (Json.int 0 :: rs) | j -> j) );
+      ("a race position past the trace", slot 2 (fun _ -> Json.Arr [ Json.int 0; Json.int 10_000 ]));
+      ( "an execution of the wrong arity",
+        field "executions" (nth 0 (function Json.Arr xs -> Json.Arr (List.tl xs) | j -> j)) );
+      ( "a missing events table",
+        function Json.Obj fs -> Json.Obj (List.remove_assoc "events" fs) | j -> j );
+    ];
+  ignore (Cache.clear ~dir)
+
+(* A record as [tmx-cache-2] wrote it: every execution's events in
+   full.  This one is [d1_opaque_writes] under pm. *)
+let previous_schema_body =
+  {|{"format":"tmx-cache-2","model":"pm","config":"fuel=6;domain_iters=4;max_graphs=500000;reduction=dpor+sym","truncated":false,"capped":false,"graphs":1,"explored":1,"lint":{"race_free":true,"findings":0,"mixed":0},"executions":[{"locs":["x"],"events":[[-1,"B"],[-1,"W","x",0,"0"],[-1,"C"],[0,"B"],[0,"W","x",1,"1"],[0,"A"],[1,"B"],[1,"R","x",0,"0"],[1,"C"]],"outcome":{"regs":[[],[]],"mem":[]},"races":[],"mixed":false}]}|}
+
+(* After an upgrade, the previous version's records sit beside the
+   current ones under keys no lookup computes (the version is hashed into
+   the key): they count as stale, leave every lookup as it was, and gc
+   drops them and nothing else. *)
+let test_cache_previous_schema () =
+  let dir = temp_dir "upgrade" in
+  let c = Cache.create ~dir () in
+  let programs = [ program_of "sb"; program_of "d1_opaque_writes" ] in
+  List.iter (fun p -> ignore (Cache.memo c ~config Model.programmer p)) programs;
+  let old = Cache.create ~version:"tmx-cache-2" ~dir () in
+  let old_key = Cache.key old ~config Model.programmer (program_of "d1_opaque_writes") in
+  append_to (Cache.entry_path c old_key) (forged_record ~key:old_key previous_schema_body);
+  Cache.close c;
+  let counts () =
+    let ds = Cache.disk_stats ~dir () in
+    [ ds.records; ds.current; ds.superseded; ds.stale; ds.corrupt ]
+  in
+  Alcotest.(check (list int))
+    "records, current, superseded, stale, corrupt" [ 3; 2; 0; 1; 0 ] (counts ());
+  let fresh = Cache.create ~dir () in
+  List.iter
+    (fun p ->
+      match Cache.find fresh ~config Model.programmer p with
+      | None -> Alcotest.fail "a current record missed beside a stale one"
+      | Some v -> check_verdict_equal "beside a stale record" (Cache.compute ~config Model.programmer p) v)
+    programs;
+  Alcotest.(check (list int))
+    "hits, misses, load failures" [ 2; 0; 0 ]
+    (let st = Cache.stats fresh in
+     [ st.hits; st.misses; st.load_failures ]);
+  Cache.close fresh;
+  Alcotest.(check int) "gc drops the stale record" 1 (Cache.gc ~dir ());
+  Alcotest.(check (list int))
+    "after gc" [ 2; 2; 0; 0; 0 ] (counts ());
+  ignore (Cache.clear ~dir)
+
+(* Every verdict reloads exactly: the catalog under every model and 200
+   generated programs, stored by one cache and read back from disk by a
+   fresh one, each held to a fresh [Cache.compute]. *)
+let test_cache_reload_exact () =
+  let dir = temp_dir "reload" in
+  let catalog =
+    List.concat_map
+      (fun (l : Tmx_litmus.Litmus.t) -> List.map (fun m -> (l.name, m, l.program)) Model.all)
+      Tmx_litmus.Catalog.all
+  in
+  let generated =
+    List.init 200 (fun i ->
+        let st = Tmx_fuzz.Gen.state_of_seed ~seed:2601 ~index:i in
+        let m = List.nth Model.all (i mod List.length Model.all) in
+        (Fmt.str "generated %d" i, m, Tmx_fuzz.Gen.program ~name:"g" Tmx_fuzz.Gen.mixed st))
+  in
+  let cases = catalog @ generated in
+  let c = Cache.create ~dir () in
+  List.iter (fun (_, m, p) -> ignore (Cache.memo c ~config m p)) cases;
+  Cache.close c;
+  let fresh = Cache.create ~capacity:1 ~dir () in
+  List.iter
+    (fun (name, (m : Model.t), p) ->
+      match Cache.find fresh ~config m p with
+      | None -> Alcotest.failf "%s under %s: not reloaded" name m.name
+      | Some v -> check_verdict_equal (Fmt.str "%s under %s" name m.name) (Cache.compute ~config m p) v)
+    cases;
+  Alcotest.(check int) "no load failure" 0 (Cache.stats fresh).load_failures;
   ignore (Cache.clear ~dir)
 
 (* A crash can leave any prefix of the last record: truncated at every
@@ -1478,6 +1612,9 @@ let suite =
     Tb.qcheck prop_json_one_line;
     Tb.qcheck prop_newline_search;
     Alcotest.test_case "cache corruption recovery" `Quick test_cache_corruption;
+    Alcotest.test_case "cache reloads every verdict exactly" `Quick test_cache_reload_exact;
+    Alcotest.test_case "cache previous schema beside current records" `Quick
+      test_cache_previous_schema;
     Alcotest.test_case "cache log truncated at every offset" `Quick test_cache_truncated_log;
     Alcotest.test_case "cache NUL-filled tail" `Quick test_cache_nul_tail;
     Alcotest.test_case "cache LRU bound" `Quick test_cache_lru_bound;
